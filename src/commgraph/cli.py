@@ -2,7 +2,7 @@
 
 Every command is a pure function of its flags plus the seed; outputs are
 byte-reproducible.  Exit codes: 0 success, 1 verification failure,
-2 configuration or parameter error.
+2 configuration or parameter error, or a refusal (``refused: ...``).
 """
 
 from __future__ import annotations
@@ -10,132 +10,72 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
-from .embeddings import instance_from_json, instance_to_json
+from .embeddings import ALL_KINDS, EMBEDDING_CLASSES, instance_from_json, instance_to_json
 from .embeddings.base import (
     ENV_MAX_EDGES,
     ENV_MAX_VERTICES,
     MaterializationCapExceeded,
     ParameterError,
+    flag_name,
 )
 from .experiments import (
     SWEEP_CSV_HEADER,
     distinguisher_by_name,
-    minimal_budget,
     run_distinguisher_trials,
+    threshold_sweep,
 )
 from .graph import dump_edge_list
-from .presets import (
-    clique_hiding_family,
-    connectivity_family,
-    degree_only_family,
-    moments_block_family,
-    moments_hiding_family,
-    r_clique_family,
-    triangle_family,
-)
-from .promises import gen_promise_instance
+from .presets import family
+from .promises import DISJ_PROMISES, gen_promise_instance
 from .protocols import TRANSCRIPT_CSV_HEADER
 from .rng import derive_seed
 
-KINDS = (
-    "clique-hiding",
-    "triangle",
-    "r-clique",
-    "connectivity",
-    "degree-only",
-    "moments-hiding",
-    "moments-block",
-)
+
+def _flags(names) -> str:
+    return " ".join(flag_name(name) for name in names)
+
 
 PARAM_SCHEMA = """\
 per-kind parameters:
-  clique-hiding    --l --blocks [--base-n --base-m --augment-connect --promise]
-  triangle         --l --k [--n --s-size]
-  r-clique         --r --l --k [--n --s-clique-budget]
-  connectivity     --k --l [--n]
-  degree-only      --n --k [--promise]
-  moments-hiding   --s --alpha --c --m-tilde --blocks [--promise]
-  moments-block    --s --alpha --c --m-tilde --n-side [--promise]
+%s
 
 promise defaults to unique-intersection for the disjointness-based kinds;
 triangle / r-clique / connectivity use the {0, k} promise implied by --k.
 Materialization caps come from %s / %s.
-""" % (ENV_MAX_VERTICES, ENV_MAX_EDGES)
+""" % (
+    "\n".join(
+        f"  {cls.kind:<16} {_flags(cls.requires)} [{_flags(cls.accepts)}]"
+        for cls in EMBEDDING_CLASSES.values()
+    ),
+    ENV_MAX_VERTICES,
+    ENV_MAX_EDGES,
+)
 
 
 class ConfigError(Exception):
     pass
 
 
-def _require(args, names: list[str], kind: str):
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise ConfigError(f"kind {kind} requires {' '.join(missing)}")
-
-
-def family_from_args(args):
-    kind = args.kind
-    if kind == "clique-hiding":
-        _require(args, ["l", "blocks"], kind)
-        return clique_hiding_family(
-            blocks=args.blocks,
-            l=args.l,
-            base_n=args.base_n,
-            base_m=args.base_m,
-            augment_connect=args.augment_connect,
-            promise=args.promise,
-        )
-    if kind == "triangle":
-        _require(args, ["l", "k"], kind)
-        return triangle_family(l=args.l, k=args.k, n=args.n, s_size=args.s_size)
-    if kind == "r-clique":
-        _require(args, ["r", "l", "k"], kind)
-        return r_clique_family(
-            r=args.r, l=args.l, k=args.k, n=args.n, s_clique_budget=args.s_clique_budget
-        )
-    if kind == "connectivity":
-        _require(args, ["k", "l"], kind)
-        return connectivity_family(k=args.k, l=args.l, n=args.n)
-    if kind == "degree-only":
-        _require(args, ["n", "k"], kind)
-        return degree_only_family(n=args.n, k=args.k, promise=args.promise)
-    if kind == "moments-hiding":
-        _require(args, ["s", "alpha", "c", "m_tilde", "blocks"], kind)
-        return moments_hiding_family(
-            s=args.s,
-            alpha=args.alpha,
-            c=args.c,
-            m_tilde=args.m_tilde,
-            blocks=args.blocks,
-            promise=args.promise,
-        )
-    if kind == "moments-block":
-        _require(args, ["s", "alpha", "c", "m_tilde", "n_side"], kind)
-        return moments_block_family(
-            s=args.s,
-            alpha=args.alpha,
-            c=args.c,
-            m_tilde=args.m_tilde,
-            n_side=args.n_side,
-            promise=args.promise,
-        )
-    raise ConfigError(f"unknown kind {kind!r}")
+def _kind_flags(args) -> dict:
+    """The given flags among those ``--kind``'s construction declares."""
+    cls = EMBEDDING_CLASSES[args.kind]
+    names = cls.requires + cls.accepts
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _add_kind_params(p: argparse.ArgumentParser):
-    p.add_argument("--kind", required=True, choices=KINDS)
+    p.add_argument("--kind", required=True, choices=ALL_KINDS)
     p.add_argument("--l", type=int, help="block side / block size")
     p.add_argument("--k", type=int, help="intersection multiplicity or block size")
     p.add_argument("--r", type=int, help="clique order (r-clique)")
     p.add_argument("--n", type=int, help="total vertex count (padded up if too small)")
     p.add_argument("--s-size", type=int, dest="s_size", help="witness set size (triangle)")
     p.add_argument("--blocks", type=int, help="number of hiding blocks")
-    p.add_argument("--base-n", type=int, dest="base_n", default=4, help="base graph vertices")
-    p.add_argument("--base-m", type=int, dest="base_m", default=3, help="base graph edges")
+    p.add_argument("--base-n", type=int, dest="base_n", help="base graph vertices")
+    p.add_argument("--base-m", type=int, dest="base_m", help="base graph edges")
     p.add_argument("--augment-connect", action="store_true", dest="augment_connect",
                    help="attach every vertex to a hub (diameter-2 variant)")
     p.add_argument("--s", type=int, help="degree-moment order")
@@ -145,14 +85,13 @@ def _add_kind_params(p: argparse.ArgumentParser):
     p.add_argument("--n-side", type=int, dest="n_side", help="bipartite side size")
     p.add_argument("--s-clique-budget", type=int, dest="s_clique_budget",
                    help="sparse-S transversal budget (r-clique)")
-    p.add_argument("--promise", default="unique-intersection",
-                   choices=["disjoint", "unique-intersection"],
+    p.add_argument("--promise", choices=list(DISJ_PROMISES),
                    help="promise for the disjointness-based kinds")
 
 
 def _instance_for(args):
-    family = family_from_args(args)
-    pp = gen_promise_instance(family.n_bits, family.promise, derive_seed(args.seed, 0))
+    fam = family(args.kind, **_kind_flags(args))
+    pp = gen_promise_instance(fam.n_bits, fam.promise, derive_seed(args.seed, 0))
     if args.side != "coin":
         want = args.side == "intersecting"
         attempt = 0
@@ -161,9 +100,9 @@ def _instance_for(args):
             if attempt > 10_000:
                 raise ConfigError(f"cannot draw a {args.side} instance for this promise")
             pp = gen_promise_instance(
-                family.n_bits, family.promise, derive_seed(args.seed, 0, attempt)
+                fam.n_bits, fam.promise, derive_seed(args.seed, 0, attempt)
             )
-    inst = family.build(pp)
+    inst = fam.build(pp)
     inst.seed = args.seed
     return inst
 
@@ -185,14 +124,14 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     from .graph import load_edge_list
-    from .verify import verify_instance
+    from .verify import VerifyBudgetExceeded, verify_instance
 
     obj = json.loads(Path(args.instance).read_text())
     inst = instance_from_json(obj)
     g = load_edge_list(Path(args.edges).read_text()) if args.edges else None
     try:
         reports = verify_instance(inst, g)
-    except MaterializationCapExceeded as exc:
+    except (MaterializationCapExceeded, VerifyBudgetExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
@@ -208,12 +147,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    family = family_from_args(args)
+    fam = family(args.kind, **_kind_flags(args))
     d = distinguisher_by_name(args.distinguisher)
-    if family.kind not in d.supports:
-        raise ConfigError(
-            f"distinguisher {d.name} does not support queries on {family.kind}"
-        )
     writer = None
     handle = None
     if args.transcripts:
@@ -227,7 +162,7 @@ def cmd_simulate(args) -> int:
 
     try:
         row = run_distinguisher_trials(
-            family, d, args.budget, args.trials, args.seed, on_trial=on_trial
+            fam, d, args.budget, args.trials, args.seed, on_trial=on_trial
         )
     finally:
         if handle is not None:
@@ -240,68 +175,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_family_for(args):
-    kind = args.kind
-
-    def family_for(n_bits: int):
-        if kind == "clique-hiding":
-            return clique_hiding_family(
-                blocks=n_bits,
-                l=args.l if args.l is not None else 2,
-                base_n=args.base_n,
-                base_m=args.base_m,
-                augment_connect=args.augment_connect,
-                promise=args.promise,
-            )
-        if kind == "moments-hiding":
-            _require(args, ["s", "alpha", "c", "m_tilde"], kind)
-            return moments_hiding_family(
-                s=args.s, alpha=args.alpha, c=args.c,
-                m_tilde=args.m_tilde, blocks=n_bits, promise=args.promise,
-            )
-        if kind == "degree-only":
-            _require(args, ["k"], kind)
-            return degree_only_family(n=3 * args.k * n_bits, k=args.k, promise=args.promise)
-        if kind in ("triangle", "r-clique", "connectivity"):
-            side = math.isqrt(n_bits)
-            if side * side != n_bits:
-                raise ConfigError(f"grid entry {n_bits} is not a perfect square (N = l^2)")
-            if kind == "triangle":
-                _require(args, ["k"], kind)
-                return triangle_family(l=side, k=args.k, n=args.n, s_size=args.s_size)
-            if kind == "r-clique":
-                _require(args, ["r", "k"], kind)
-                return r_clique_family(r=args.r, l=side, k=args.k, n=args.n)
-            _require(args, ["k"], kind)
-            return connectivity_family(k=args.k, l=side, n=args.n)
-        raise ConfigError(f"sweep does not support kind {kind!r}")
-
-    return family_for
-
-
 def cmd_sweep(args) -> int:
     d = distinguisher_by_name(args.distinguisher)
     grid = [int(tok) for tok in args.grid.split(",") if tok]
-    family_for = _sweep_family_for(args)
-    rows = []
-    for idx, n_bits in enumerate(grid):
-        try:
-            family = family_for(n_bits)
-        except (ConfigError, ParameterError) as exc:
-            print(f"skipping N={n_bits}: {exc}", file=sys.stderr)
-            continue
-        t_star, used, warn, _ = minimal_budget(
-            family, d, args.trials, derive_seed(args.seed, idx)
-        )
-        if t_star is None:
-            print(f"skipping N={n_bits}: no budget reached 2/3 success", file=sys.stderr)
-            continue
-        row = run_distinguisher_trials(
-            family, d, t_star, used, derive_seed(args.seed, idx, 0xFF)
-        )
-        if warn:
-            print(f"warning: N={n_bits} needed widened trials", file=sys.stderr)
-        rows.append(row)
+    cls = EMBEDDING_CLASSES[args.kind]
+    if cls.swept is None:
+        raise ConfigError(f"sweep does not support kind {args.kind!r}")
+    flags = _kind_flags(args)
+    cls.check_flags([*flags, cls.swept])
+
+    def family_for(n_bits: int):
+        return family(args.kind, **{**flags, cls.swept: cls.swept_value(n_bits, flags)})
+
+    rows = threshold_sweep(family_for, grid, d, args.seed, args.trials)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SWEEP_CSV_HEADER)

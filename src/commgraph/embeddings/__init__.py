@@ -1,4 +1,6 @@
-"""The seven gap-instance constructions and their JSON round-trip."""
+"""The seven gap-instance constructions, their kind registry and their
+JSON round-trip.  ``EMBEDDING_CLASSES`` is the one place that maps a kind
+name to its construction; each class declares its own flags."""
 
 from __future__ import annotations
 
@@ -17,21 +19,15 @@ from .base import (
 from .clique_hiding import (
     CliqueHidingEmbedding,
     CliqueHidingParams,
-    build_clique_hiding,
     edge_counting_block_side,
     triangle_freeness_block_side,
 )
-from .connectivity import ConnectivityEmbedding, ConnectivityParams, build_connectivity
-from .degree_only import DegreeOnlyEmbedding, DegreeOnlyParams, build_degree_only
-from .moments_block import MomentsBlockEmbedding, MomentsBlockParams, build_moments_block
-from .moments_hiding import (
-    MomentsHidingEmbedding,
-    MomentsHidingParams,
-    build_moments_hiding,
-    graph_moment,
-)
-from .rclique import RCliqueEmbedding, RCliqueParams, build_r_clique
-from .triangle import TriangleEmbedding, TriangleParams, build_triangle
+from .connectivity import ConnectivityEmbedding, ConnectivityParams
+from .degree_only import DegreeOnlyEmbedding, DegreeOnlyParams
+from .moments_block import MomentsBlockEmbedding, MomentsBlockParams
+from .moments_hiding import MomentsHidingEmbedding, MomentsHidingParams, graph_moment
+from .rclique import RCliqueEmbedding, RCliqueParams
+from .triangle import TriangleEmbedding, TriangleParams
 
 EMBEDDING_CLASSES: dict[str, type[Embedding]] = {
     cls.kind: cls
@@ -97,13 +93,6 @@ __all__ = [
     "TriangleEmbedding",
     "TriangleParams",
     "UnsupportedQuery",
-    "build_clique_hiding",
-    "build_connectivity",
-    "build_degree_only",
-    "build_moments_block",
-    "build_moments_hiding",
-    "build_r_clique",
-    "build_triangle",
     "edge_counting_block_side",
     "gap_label",
     "graph_moment",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+from math import isqrt
 from typing import Callable, Optional
 
 from ..graph import (
@@ -30,7 +31,7 @@ from ..graph import (
     query_kind,
     sample_edge_by_degrees,
 )
-from ..promises import PromisePair
+from ..promises import Disjoint, KIntersectOrDisjoint, PromisePair, UniqueIntersection
 
 JointAccess = Callable[[int], int]
 
@@ -53,6 +54,11 @@ class MaterializationCapExceeded(RuntimeError):
     """Instance too large to materialize; it remains usable lazily."""
 
 
+def flag_name(field: str) -> str:
+    """The command-line spelling of a parameter field."""
+    return "--" + field.replace("_", "-")
+
+
 def materialization_caps() -> tuple[int, int]:
     max_n = int(os.environ.get(ENV_MAX_VERTICES, DEFAULT_MAX_VERTICES))
     max_m = int(os.environ.get(ENV_MAX_EDGES, DEFAULT_MAX_EDGES))
@@ -60,16 +66,64 @@ def materialization_caps() -> tuple[int, int]:
 
 
 class Embedding:
-    """A parameterized construction applied to one promise input pair."""
+    """A parameterized construction applied to one promise input pair.
+
+    Each construction declares, once, everything needed to build it from
+    flags: its ``Params`` dataclass, the flags it ``requires`` and
+    ``accepts``, the input length ``n_bits_for(params)`` and the flag a
+    sweep size N sets (``swept``, via ``swept_value``).  The promise
+    follows from ``comm_function``: a ``disj`` construction takes a
+    ``promise`` flag naming disjoint or unique-intersection, an
+    ``inter_k`` one the {0, k} promise of its ``k`` parameter.
+    """
 
     kind: str = "abstract"
     comm_function: str = "disj"  # "disj" or "inter_k"
     supported: frozenset = frozenset()
+    Params: type
+    requires: tuple[str, ...] = ()
+    accepts: tuple[str, ...] = ()
+    swept: Optional[str] = None  # None: not sweepable
 
-    def __init__(self, pp: PromisePair, seed: Optional[int] = None):
+    def __init__(self, params, pp: PromisePair, seed: Optional[int] = None):
+        if self.comm_function == "disj":
+            if not isinstance(pp.promise, (Disjoint, UniqueIntersection)):
+                raise ParameterError("promise must be disjoint or unique-intersection")
+        elif not isinstance(pp.promise, KIntersectOrDisjoint):
+            raise ParameterError("promise must be k-intersect-or-disjoint")
+        elif pp.promise.k != params.k:
+            raise ParameterError(f"promise k={pp.promise.k} != construction k={params.k}")
+        n_bits = self.n_bits_for(params)
+        if pp.n_bits != n_bits:
+            raise ParameterError(
+                f"input length {pp.n_bits} != {n_bits} required by the {self.kind} parameters"
+            )
+        self.params = params
         self.pp = pp
         self.seed = seed
         self.n = 0  # subclasses set the vertex count
+
+    # -- declarations -------------------------------------------------------
+
+    @classmethod
+    def params_from_flags(cls, **flags):
+        return cls.Params(**flags)
+
+    @classmethod
+    def n_bits_for(cls, params) -> int:
+        """Input length N for these parameters."""
+        raise NotImplementedError
+
+    @classmethod
+    def swept_value(cls, n_bits: int, flags: dict) -> int:
+        """Value of the ``swept`` flag for sweep size N."""
+        return n_bits
+
+    @classmethod
+    def check_flags(cls, given) -> None:
+        missing = [flag_name(f) for f in cls.requires if f not in given]
+        if missing:
+            raise ParameterError(f"kind {cls.kind} requires {' '.join(missing)}")
 
     # -- the lazy rules -------------------------------------------------
 
@@ -147,9 +201,7 @@ class Embedding:
 
     def gap_label(self) -> int:
         """The communication function's value, computed from the inputs."""
-        if self.comm_function == "disj":
-            return 0 if self.pp.intersecting else 1
-        return 1 if self.pp.intersecting else 0
+        return self.label_for(self.pp.intersecting)
 
     def label_for(self, intersecting: bool) -> int:
         """Label a guess of the promise side in this construction's convention."""
@@ -165,6 +217,25 @@ class Embedding:
     def __repr__(self) -> str:
         side = "intersecting" if self.pp.intersecting else "disjoint"
         return f"<{self.kind} n={self.n} N={self.pp.n_bits} {side}>"
+
+
+class GridEmbedding(Embedding):
+    """A {0, k}-intersection construction whose N = l*l input coordinates
+    form an l x l grid; a sweep size N sets l = sqrt(N)."""
+
+    comm_function = "inter_k"
+    swept = "l"
+
+    @classmethod
+    def n_bits_for(cls, params) -> int:
+        return params.l * params.l
+
+    @classmethod
+    def swept_value(cls, n_bits: int, flags: dict) -> int:
+        side = isqrt(n_bits)
+        if side * side != n_bits:
+            raise ParameterError(f"grid entry {n_bits} is not a perfect square (N = l^2)")
+        return side
 
 
 def lazy_answer(

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Optional
 
-from ..families import base_graph_from_json, base_graph_to_json
+from ..families import base_graph_from_json, base_graph_to_json, lex_graph
 from ..graph import ExplicitGraph
-from ..promises import Disjoint, PromisePair, UniqueIntersection
+from ..promises import PromisePair
 from .base import Embedding, JointAccess, ParameterError
 
 
@@ -45,16 +45,13 @@ class CliqueHidingEmbedding(Embedding):
     kind = "clique-hiding"
     comm_function = "disj"
     supported = frozenset({"degree", "neighbor", "pair"})
+    Params = CliqueHidingParams
+    requires = ("l", "blocks")
+    accepts = ("base_n", "base_m", "augment_connect", "promise")
+    swept = "blocks"
 
     def __init__(self, params: CliqueHidingParams, pp: PromisePair, seed=None):
-        if not isinstance(pp.promise, (Disjoint, UniqueIntersection)):
-            raise ParameterError("promise must be disjoint or unique-intersection")
-        if pp.n_bits != params.blocks:
-            raise ParameterError(
-                f"input length {pp.n_bits} != number of blocks {params.blocks}"
-            )
-        super().__init__(pp, seed)
-        self.params = params
+        super().__init__(params, pp, seed)
         self.l = params.l
         self.blocks = params.blocks
         self.base = params.base
@@ -63,6 +60,21 @@ class CliqueHidingEmbedding(Embedding):
         self.n = self.block_span + self.base.n
         self.augment = params.augment_connect
         self.hub = self.offset if self.augment else None
+
+    @classmethod
+    def params_from_flags(cls, l, blocks, base_n=4, base_m=3, augment_connect=False):
+        """The base graph is the first base_m edges of K_base_n (``lex_graph``)."""
+        return CliqueHidingParams(
+            base=lex_graph(base_n, base_m),
+            l=l,
+            blocks=blocks,
+            augment_connect=augment_connect,
+            base_family={"kind": "lex", "n": base_n, "m": base_m},
+        )
+
+    @classmethod
+    def n_bits_for(cls, params: CliqueHidingParams) -> int:
+        return params.blocks
 
     # block-local helpers
     def _block_of(self, v: int) -> int:
@@ -152,12 +164,6 @@ class CliqueHidingEmbedding(Embedding):
             base_family=params["base"] if params["base"].get("kind") != "explicit" else None,
         )
         return cls(p, pp, seed)
-
-
-def build_clique_hiding(
-    params: CliqueHidingParams, pp: PromisePair, seed=None
-) -> CliqueHidingEmbedding:
-    return CliqueHidingEmbedding(params, pp, seed)
 
 
 def edge_counting_block_side(eps_num: int, eps_den: int, base_m: int) -> int:

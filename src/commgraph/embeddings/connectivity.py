@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..promises import KIntersectOrDisjoint, PromisePair
-from .base import Embedding, JointAccess, ParameterError
+from ..promises import PromisePair
+from .base import GridEmbedding, JointAccess, ParameterError
 
 
 @dataclass(frozen=True)
@@ -32,21 +32,16 @@ class ConnectivityParams:
             raise ParameterError(f"l={self.l} must be >= 2k = {2 * self.k}")
 
 
-class ConnectivityEmbedding(Embedding):
+class ConnectivityEmbedding(GridEmbedding):
     kind = "connectivity"
-    comm_function = "inter_k"
     supported = frozenset({"degree", "neighbor", "pair", "random_edge"})
+    Params = ConnectivityParams
+    requires = ("k", "l")
+    accepts = ("n",)
 
     def __init__(self, params: ConnectivityParams, pp: PromisePair, seed=None):
+        super().__init__(params, pp, seed)
         l, k = params.l, params.k
-        if not isinstance(pp.promise, KIntersectOrDisjoint):
-            raise ParameterError("promise must be k-intersect-or-disjoint")
-        if pp.promise.k != k:
-            raise ParameterError(f"promise k={pp.promise.k} != construction k={k}")
-        if pp.n_bits != l * l:
-            raise ParameterError(f"input length {pp.n_bits} != l^2 = {l * l}")
-        super().__init__(pp, seed)
-        self.params = params
         self.l, self.k = l, k
         requested = params.n if params.n is not None else 5 * l
         self.n = max(requested, 4 * l)
@@ -154,9 +149,3 @@ class ConnectivityEmbedding(Embedding):
     def from_params_json(cls, params: dict, pp: PromisePair, seed=None):
         p = ConnectivityParams(k=params["k"], l=params["l"], n=params["n"])
         return cls(p, pp, seed)
-
-
-def build_connectivity(
-    params: ConnectivityParams, pp: PromisePair, seed=None
-) -> ConnectivityEmbedding:
-    return ConnectivityEmbedding(params, pp, seed)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..promises import Disjoint, PromisePair, UniqueIntersection
+from ..promises import PromisePair
 from .base import Embedding, JointAccess, ParameterError
 
 
@@ -38,21 +38,17 @@ class DegreeOnlyEmbedding(Embedding):
     kind = "degree-only"
     comm_function = "disj"
     supported = frozenset({"degree"})
+    Params = DegreeOnlyParams
+    requires = ("n", "k")
+    accepts = ("promise",)
+    swept = "n"
 
     def __init__(self, params: DegreeOnlyParams, pp: PromisePair, seed=None):
-        if not isinstance(pp.promise, (Disjoint, UniqueIntersection)):
-            raise ParameterError("promise must be disjoint or unique-intersection")
-        super().__init__(pp, seed)
-        self.params = params
+        super().__init__(params, pp, seed)
         self.k = params.k
-        unit = 3 * self.k
-        self.n = ((params.n + unit - 1) // unit) * unit
+        self.blocks = pp.n_bits
+        self.n = 3 * self.k * self.blocks
         self.pad = self.n - params.n
-        self.blocks = self.n // unit
-        if pp.n_bits != self.blocks:
-            raise ParameterError(
-                f"input length {pp.n_bits} != block count {self.blocks}"
-            )
         self.third = self.n // 3
         hot = None
         for j in range(self.blocks):
@@ -60,6 +56,15 @@ class DegreeOnlyEmbedding(Embedding):
                 hot = j
                 break
         self._hot = hot
+
+    @classmethod
+    def n_bits_for(cls, params: DegreeOnlyParams) -> int:
+        """One block per 3k vertices, n padded up to a multiple of 3k."""
+        return -(-params.n // (3 * params.k))
+
+    @classmethod
+    def swept_value(cls, n_bits: int, flags: dict) -> int:
+        return 3 * flags["k"] * n_bits
 
     def degree_of(self, v: int, joint: JointAccess) -> int:
         if v >= self.third:  # V or W: degree k on both promise sides
@@ -110,9 +115,3 @@ class DegreeOnlyEmbedding(Embedding):
     @classmethod
     def from_params_json(cls, params: dict, pp: PromisePair, seed=None):
         return cls(DegreeOnlyParams(n=params["n"], k=params["k"]), pp, seed)
-
-
-def build_degree_only(
-    params: DegreeOnlyParams, pp: PromisePair, seed=None
-) -> DegreeOnlyEmbedding:
-    return DegreeOnlyEmbedding(params, pp, seed)

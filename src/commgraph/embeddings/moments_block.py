@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from ..promises import Disjoint, PromisePair, UniqueIntersection
+from ..promises import PromisePair
 from .base import Embedding, JointAccess, ParameterError
 
 
@@ -138,25 +138,25 @@ class MomentsBlockEmbedding(Embedding):
     kind = "moments-block"
     comm_function = "disj"
     supported = frozenset({"degree", "neighbor", "pair"})
+    Params = MomentsBlockParams
+    requires = ("s", "alpha", "c", "m_tilde", "n_side")
+    accepts = ("promise",)
 
     def __init__(self, params: MomentsBlockParams, pp: PromisePair, seed=None):
-        if not isinstance(pp.promise, (Disjoint, UniqueIntersection)):
-            raise ParameterError("promise must be disjoint or unique-intersection")
-        super().__init__(pp, seed)
-        self.params = params
+        super().__init__(params, pp, seed)
         self.s, self.alpha, self.c = params.s, params.alpha, params.c
         self.m_tilde, self.n_side = params.m_tilde, params.n_side
         shape = derive_block_shape(params)
         self.case, self.subcase = shape.case, shape.subcase
         self.d, self.l, self.w_size = shape.d, shape.l, shape.w_size
         self.blocks, self.chunk_size = shape.blocks, shape.chunk_size
-        if pp.n_bits != self.blocks:
-            raise ParameterError(
-                f"input length {pp.n_bits} != block count {self.blocks}"
-            )
         self.r0 = 2 * self.n_side
         self.w0 = self.r0 + self.alpha
         self.n = self.w0 + self.blocks * self.w_size
+
+    @classmethod
+    def n_bits_for(cls, params: MomentsBlockParams) -> int:
+        return derive_block_shape(params).blocks
 
     # combined A+B index of a vertex (A first, then B) is its global id
     def _w_block(self, v: int) -> tuple[int, int]:
@@ -269,9 +269,3 @@ def _least_scaled_root(target: int, unit: int, s: int) -> int:
     while (unit * l) ** s < target:
         l += 1
     return l
-
-
-def build_moments_block(
-    params: MomentsBlockParams, pp: PromisePair, seed=None
-) -> MomentsBlockEmbedding:
-    return MomentsBlockEmbedding(params, pp, seed)

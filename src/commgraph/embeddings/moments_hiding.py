@@ -18,7 +18,7 @@ from typing import Optional
 
 from ..families import base_graph_from_json, base_graph_to_json, matching_graph
 from ..graph import ExplicitGraph
-from ..promises import Disjoint, PromisePair, UniqueIntersection
+from ..promises import PromisePair
 from .base import Embedding, JointAccess, ParameterError
 
 
@@ -61,16 +61,13 @@ class MomentsHidingEmbedding(Embedding):
     kind = "moments-hiding"
     comm_function = "disj"
     supported = frozenset({"degree", "neighbor", "pair"})
+    Params = MomentsHidingParams
+    requires = ("s", "alpha", "c", "m_tilde", "blocks")
+    accepts = ("promise",)
+    swept = "blocks"
 
     def __init__(self, params: MomentsHidingParams, pp: PromisePair, seed=None):
-        if not isinstance(pp.promise, (Disjoint, UniqueIntersection)):
-            raise ParameterError("promise must be disjoint or unique-intersection")
-        if pp.n_bits != params.blocks:
-            raise ParameterError(
-                f"input length {pp.n_bits} != number of blocks {params.blocks}"
-            )
-        super().__init__(pp, seed)
-        self.params = params
+        super().__init__(params, pp, seed)
         self.s, self.alpha, self.c = params.s, params.alpha, params.c
         self.m_tilde = params.m_tilde
         if params.base is not None:
@@ -95,6 +92,10 @@ class MomentsHidingEmbedding(Embedding):
         self.block_span = self.blocks * self.block_size
         self.offset = self.block_span
         self.n = self.block_span + self.base.n
+
+    @classmethod
+    def n_bits_for(cls, params: MomentsHidingParams) -> int:
+        return params.blocks
 
     def _locate(self, v: int) -> tuple[int, int]:
         return v // self.block_size, v % self.block_size
@@ -176,9 +177,3 @@ class MomentsHidingEmbedding(Embedding):
             base_family=family,
         )
         return cls(p, pp, seed)
-
-
-def build_moments_hiding(
-    params: MomentsHidingParams, pp: PromisePair, seed=None
-) -> MomentsHidingEmbedding:
-    return MomentsHidingEmbedding(params, pp, seed)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from ..promises import KIntersectOrDisjoint, PromisePair
-from .base import Embedding, JointAccess, ParameterError
+from ..promises import PromisePair
+from .base import GridEmbedding, JointAccess, ParameterError
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class RCliqueParams:
             raise ParameterError("l must be >= 1")
         if self.k < 1:
             raise ParameterError("k must be >= 1")
+        _active_sizes(self.r, self.l, self.s_clique_budget)  # budget feasibility
 
 
 def _active_sizes(r: int, l: int, budget: Optional[int]) -> list[int]:
@@ -57,23 +58,16 @@ def _active_sizes(r: int, l: int, budget: Optional[int]) -> list[int]:
     return sizes
 
 
-class RCliqueEmbedding(Embedding):
+class RCliqueEmbedding(GridEmbedding):
     kind = "r-clique"
-    comm_function = "inter_k"
     supported = frozenset({"degree", "neighbor", "pair", "random_edge"})
+    Params = RCliqueParams
+    requires = ("r", "l", "k")
+    accepts = ("n", "s_clique_budget")
 
     def __init__(self, params: RCliqueParams, pp: PromisePair, seed=None):
+        super().__init__(params, pp, seed)
         l, r = params.l, params.r
-        if not isinstance(pp.promise, KIntersectOrDisjoint):
-            raise ParameterError("promise must be k-intersect-or-disjoint")
-        if pp.promise.k != params.k:
-            raise ParameterError(
-                f"promise k={pp.promise.k} != construction k={params.k}"
-            )
-        if pp.n_bits != l * l:
-            raise ParameterError(f"input length {pp.n_bits} != l^2 = {l * l}")
-        super().__init__(pp, seed)
-        self.params = params
         self.l, self.r, self.k = l, r, params.k
         self.sets = r - 2
         self.active = _active_sizes(r, l, params.s_clique_budget)
@@ -227,7 +221,3 @@ class RCliqueEmbedding(Embedding):
             s_clique_budget=params.get("s_clique_budget"),
         )
         return cls(p, pp, seed)
-
-
-def build_r_clique(params: RCliqueParams, pp: PromisePair, seed=None) -> RCliqueEmbedding:
-    return RCliqueEmbedding(params, pp, seed)

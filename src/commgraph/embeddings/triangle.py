@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..promises import KIntersectOrDisjoint, PromisePair
-from .base import Embedding, JointAccess, ParameterError
+from ..promises import PromisePair
+from .base import GridEmbedding, JointAccess, ParameterError
 
 
 @dataclass(frozen=True)
@@ -38,23 +38,16 @@ class TriangleParams:
             raise ParameterError("s_size must be >= 1")
 
 
-class TriangleEmbedding(Embedding):
+class TriangleEmbedding(GridEmbedding):
     kind = "triangle"
-    comm_function = "inter_k"
     supported = frozenset({"degree", "neighbor", "pair", "random_edge"})
+    Params = TriangleParams
+    requires = ("l", "k")
+    accepts = ("n", "s_size")
 
     def __init__(self, params: TriangleParams, pp: PromisePair, seed=None):
+        super().__init__(params, pp, seed)
         l = params.l
-        if not isinstance(pp.promise, KIntersectOrDisjoint):
-            raise ParameterError("promise must be k-intersect-or-disjoint")
-        if pp.promise.k != params.k:
-            raise ParameterError(
-                f"promise k={pp.promise.k} != construction k={params.k}"
-            )
-        if pp.n_bits != l * l:
-            raise ParameterError(f"input length {pp.n_bits} != l^2 = {l * l}")
-        super().__init__(pp, seed)
-        self.params = params
         self.l = l
         self.k = params.k
         self.s_size = params.s_size if params.s_size is not None else l
@@ -180,7 +173,3 @@ class TriangleEmbedding(Embedding):
             l=params["l"], k=params["k"], n=params["n"], s_size=params["s_size"]
         )
         return cls(p, pp, seed)
-
-
-def build_triangle(params: TriangleParams, pp: PromisePair, seed=None) -> TriangleEmbedding:
-    return TriangleEmbedding(params, pp, seed)

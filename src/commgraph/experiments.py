@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .embeddings.base import Embedding
+from .embeddings.base import Embedding, ParameterError
 from .graph import Degree, Pair, RandomEdge
 from .promises import Promise, PromisePair, gen_promise_instance
 from .protocols import BudgetExceeded, ReductionOracle, run_reduction
@@ -63,13 +64,11 @@ class InstanceFamily:
     n_bits: int
     promise: Promise
     build: Callable[[PromisePair], Embedding]
-    label: str = ""
 
 
 @dataclass
 class SweepRow:
     kind: str
-    params: str
     n_bits: int
     budget: int
     trials: int
@@ -147,7 +146,6 @@ def run_distinguisher_trials(
             on_trial(t, output, truth, transcript)
     return SweepRow(
         kind=family.kind,
-        params=family.label,
         n_bits=family.n_bits,
         budget=budget,
         trials=trials,
@@ -365,18 +363,29 @@ def threshold_sweep(
     trials: int = 400,
 ) -> list[SweepRow]:
     """For each grid size, find the minimal budget reaching 2/3 success and
-    report it with that budget's bit statistics."""
+    report it with that budget's bit statistics.
+
+    A grid size whose parameters are invalid, or where no budget reaches
+    2/3 success, is skipped with a line on stderr.  A size whose search had
+    to widen its trials keeps its row and gets a warning line."""
     rows = []
     for idx, n_bits in enumerate(grid):
-        family = family_for(n_bits)
+        try:
+            family = family_for(n_bits)
+        except ParameterError as exc:
+            print(f"skipping N={n_bits}: {exc}", file=sys.stderr)
+            continue
         t_star, used, warn, _ = minimal_budget(
             family, d, trials, derive_seed(seed, idx)
         )
         if t_star is None:
-            continue  # infeasible grid entry; caller may warn
+            print(f"skipping N={n_bits}: no budget reached 2/3 success", file=sys.stderr)
+            continue
         row = run_distinguisher_trials(
             family, d, t_star, used, derive_seed(seed, idx, 0xFF)
         )
+        if warn:
+            print(f"warning: N={n_bits} needed widened trials", file=sys.stderr)
         row.warn = warn
         rows.append(row)
     return rows

@@ -1,152 +1,43 @@
-"""Instance-family constructors shared by the CLI and the harnesses."""
+"""Instance families built from a kind's declared flags, shared by the CLI
+and the harnesses."""
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
 
-from .embeddings import (
-    CliqueHidingParams,
-    ConnectivityParams,
-    DegreeOnlyParams,
-    MomentsBlockParams,
-    MomentsHidingParams,
-    RCliqueParams,
-    TriangleParams,
-    build_clique_hiding,
-    build_connectivity,
-    build_degree_only,
-    build_moments_block,
-    build_moments_hiding,
-    build_r_clique,
-    build_triangle,
-)
-from .embeddings.moments_block import derive_block_shape
+from .embeddings import EMBEDDING_CLASSES
+from .embeddings.base import ParameterError
 from .experiments import InstanceFamily
-from .families import lex_graph
-from .promises import Disjoint, KIntersectOrDisjoint, Promise, UniqueIntersection
+from .promises import DISJ_PROMISES, KIntersectOrDisjoint
 
 
-def _hiding_promise(name: str) -> Promise:
-    if name == "disjoint":
-        return Disjoint()
-    if name == "unique-intersection":
-        return UniqueIntersection()
-    raise ValueError(f"promise must be disjoint or unique-intersection, got {name!r}")
-
-
-def clique_hiding_family(
-    blocks: int,
-    l: int,
-    base_n: int = 4,
-    base_m: int = 3,
-    augment_connect: bool = False,
-    promise: str = "unique-intersection",
-) -> InstanceFamily:
-    base = lex_graph(base_n, base_m)
-    params = CliqueHidingParams(
-        base=base,
-        l=l,
-        blocks=blocks,
-        augment_connect=augment_connect,
-        base_family={"kind": "lex", "n": base_n, "m": base_m},
-    )
+def family(kind: str, **flags) -> InstanceFamily:
+    """The construction ``kind`` with the parameters its flags set,
+    buildable per input pair."""
+    if kind not in EMBEDDING_CLASSES:
+        raise ParameterError(f"unknown embedding kind {kind!r}")
+    cls = EMBEDDING_CLASSES[kind]
+    cls.check_flags(flags)
+    if cls.comm_function == "disj":
+        name = flags.pop("promise", "unique-intersection")
+        if name not in DISJ_PROMISES:
+            raise ParameterError(f"promise must be disjoint or unique-intersection, got {name!r}")
+        promise = DISJ_PROMISES[name]()
+    params = cls.params_from_flags(**flags)
+    if cls.comm_function == "inter_k":
+        promise = KIntersectOrDisjoint(params.k)
     return InstanceFamily(
-        kind="clique-hiding",
-        n_bits=blocks,
-        promise=_hiding_promise(promise),
-        build=lambda pp: build_clique_hiding(params, pp),
-        label=f"l={l},blocks={blocks},base={base_n}/{base_m},aug={int(augment_connect)}",
+        kind=kind,
+        n_bits=cls.n_bits_for(params),
+        promise=promise,
+        build=lambda pp: cls(params, pp),
     )
 
 
-def triangle_family(
-    l: int, k: int, n: Optional[int] = None, s_size: Optional[int] = None
-) -> InstanceFamily:
-    params = TriangleParams(l=l, k=k, n=n, s_size=s_size)
-    return InstanceFamily(
-        kind="triangle",
-        n_bits=l * l,
-        promise=KIntersectOrDisjoint(k),
-        build=lambda pp: build_triangle(params, pp),
-        label=f"l={l},k={k}",
-    )
-
-
-def r_clique_family(
-    r: int,
-    l: int,
-    k: int,
-    n: Optional[int] = None,
-    s_clique_budget: Optional[int] = None,
-) -> InstanceFamily:
-    params = RCliqueParams(r=r, l=l, k=k, n=n, s_clique_budget=s_clique_budget)
-    return InstanceFamily(
-        kind="r-clique",
-        n_bits=l * l,
-        promise=KIntersectOrDisjoint(k),
-        build=lambda pp: build_r_clique(params, pp),
-        label=f"r={r},l={l},k={k}",
-    )
-
-
-def connectivity_family(k: int, l: int, n: Optional[int] = None) -> InstanceFamily:
-    params = ConnectivityParams(k=k, l=l, n=n)
-    return InstanceFamily(
-        kind="connectivity",
-        n_bits=l * l,
-        promise=KIntersectOrDisjoint(k),
-        build=lambda pp: build_connectivity(params, pp),
-        label=f"k={k},l={l}",
-    )
-
-
-def degree_only_family(
-    n: int, k: int, promise: str = "unique-intersection"
-) -> InstanceFamily:
-    params = DegreeOnlyParams(n=n, k=k)
-    unit = 3 * k
-    padded = ((n + unit - 1) // unit) * unit
-    return InstanceFamily(
-        kind="degree-only",
-        n_bits=padded // unit,
-        promise=_hiding_promise(promise),
-        build=lambda pp: build_degree_only(params, pp),
-        label=f"n={padded},k={k}",
-    )
-
-
-def moments_hiding_family(
-    s: int,
-    alpha: int,
-    c: int,
-    m_tilde: int,
-    blocks: int,
-    promise: str = "unique-intersection",
-) -> InstanceFamily:
-    params = MomentsHidingParams(s=s, alpha=alpha, c=c, m_tilde=m_tilde, blocks=blocks)
-    return InstanceFamily(
-        kind="moments-hiding",
-        n_bits=blocks,
-        promise=_hiding_promise(promise),
-        build=lambda pp: build_moments_hiding(params, pp),
-        label=f"s={s},alpha={alpha},c={c},m_tilde={m_tilde}",
-    )
-
-
-def moments_block_family(
-    s: int,
-    alpha: int,
-    c: int,
-    m_tilde: int,
-    n_side: int,
-    promise: str = "unique-intersection",
-) -> InstanceFamily:
-    params = MomentsBlockParams(s=s, alpha=alpha, c=c, m_tilde=m_tilde, n_side=n_side)
-    shape = derive_block_shape(params)
-    return InstanceFamily(
-        kind="moments-block",
-        n_bits=shape.blocks,
-        promise=_hiding_promise(promise),
-        build=lambda pp: build_moments_block(params, pp),
-        label=f"s={s},alpha={alpha},c={c},m_tilde={m_tilde},n_side={n_side}",
-    )
+clique_hiding_family = partial(family, "clique-hiding")
+triangle_family = partial(family, "triangle")
+r_clique_family = partial(family, "r-clique")
+connectivity_family = partial(family, "connectivity")
+degree_only_family = partial(family, "degree-only")
+moments_hiding_family = partial(family, "moments-hiding")
+moments_block_family = partial(family, "moments-block")

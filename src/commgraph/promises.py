@@ -54,6 +54,9 @@ class KIntersectOrDisjoint:
 
 Promise = Union[Disjoint, UniqueIntersection, KIntersectOrDisjoint]
 
+# The promises a disjointness-based construction takes, by name.
+DISJ_PROMISES = {"disjoint": Disjoint, "unique-intersection": UniqueIntersection}
+
 
 def promise_from_json(obj) -> Promise:
     kind = obj["kind"]

@@ -63,13 +63,13 @@ def random_instance(kind: str, seed: int) -> Embedding:
         MomentsHidingParams,
         RCliqueParams,
         TriangleParams,
-        build_clique_hiding,
-        build_connectivity,
-        build_degree_only,
-        build_moments_block,
-        build_moments_hiding,
-        build_r_clique,
-        build_triangle,
+        CliqueHidingEmbedding as build_clique_hiding,
+        ConnectivityEmbedding as build_connectivity,
+        DegreeOnlyEmbedding as build_degree_only,
+        MomentsBlockEmbedding as build_moments_block,
+        MomentsHidingEmbedding as build_moments_hiding,
+        RCliqueEmbedding as build_r_clique,
+        TriangleEmbedding as build_triangle,
     )
     from commgraph.embeddings.moments_block import derive_block_shape
     from commgraph.families import lex_graph

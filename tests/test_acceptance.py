@@ -12,9 +12,9 @@ from commgraph.embeddings import (
     MomentsBlockParams,
     MomentsHidingParams,
     TriangleParams,
-    build_moments_block,
-    build_moments_hiding,
-    build_triangle,
+    MomentsBlockEmbedding as build_moments_block,
+    MomentsHidingEmbedding as build_moments_hiding,
+    TriangleEmbedding as build_triangle,
     lazy_answer,
 )
 from commgraph.experiments import (
@@ -99,7 +99,7 @@ def test_criterion_2_exact_gap_certification():
     assert count_triangles(tri0.materialize()) == 0
 
     # r-clique r=4, l=3, k=2
-    from commgraph.embeddings import RCliqueParams, build_r_clique
+    from commgraph.embeddings import RCliqueParams, RCliqueEmbedding as build_r_clique
 
     bits = [0] * 9
     bits[0] = bits[5] = 1
@@ -112,7 +112,8 @@ def test_criterion_2_exact_gap_certification():
     assert count_r_cliques(g, 4) == 18
 
     # connectivity k=2, l=4, n=20
-    from commgraph.embeddings import ConnectivityParams, build_connectivity
+    from commgraph.embeddings import ConnectivityEmbedding as build_connectivity
+    from commgraph.embeddings import ConnectivityParams
 
     bits = [0] * 16
     bits[2] = bits[11] = 1
@@ -129,7 +130,7 @@ def test_criterion_2_exact_gap_certification():
     assert connected_components(conn0.materialize()) >= 2
 
     # degree-only n=12, k=2
-    from commgraph.embeddings import DegreeOnlyParams, build_degree_only
+    from commgraph.embeddings import DegreeOnlyParams, DegreeOnlyEmbedding as build_degree_only
 
     hot = BitVec.from_bits([1, 0])
     d_hot = build_degree_only(

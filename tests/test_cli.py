@@ -150,3 +150,51 @@ def test_sweep_skips_non_square_grid_for_triangle(tmp_path, capsys):
         "--trials", "50", "--seed", "2", "--out", str(out),
     ]) == 0
     assert "not a perfect square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind_args, message", [
+    (["--kind", "triangle", "--distinguisher", "edge-sample-tester"],
+     "kind triangle requires --k"),
+    (["--kind", "clique-hiding", "--distinguisher", "pair-probe"],
+     "kind clique-hiding requires --l"),
+    (["--kind", "moments-block", "--s", "2", "--alpha", "4", "--c", "4",
+      "--m-tilde", "257", "--n-side", "16", "--distinguisher", "degree-scan"],
+     "sweep does not support kind 'moments-block'"),
+])
+def test_sweep_config_error_exits_before_the_grid(tmp_path, capsys, kind_args, message):
+    out = tmp_path / "s.csv"
+    assert run(["sweep", *kind_args, "--grid", "16,25", "--seed", "1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_budget_refusal_exits_2(tmp_path, capsys, monkeypatch):
+    import commgraph.verify
+    from commgraph.verify import VerifyBudgetExceeded
+
+    out = tmp_path / "t.json"
+    assert run(["gen", "--kind", "triangle", "--l", "3", "--k", "1", "--seed", "5",
+                "--out", str(out)]) == 0
+
+    def refuse(inst, g=None):
+        raise VerifyBudgetExceeded("exact subset enumeration refused for n=99 > 24")
+
+    monkeypatch.setattr(commgraph.verify, "verify_instance", refuse)
+    capsys.readouterr()
+    assert run(["verify", "--instance", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "refused: exact subset enumeration refused for n=99 > 24\n"
+    assert captured.out == ""
+
+
+def test_sweep_honours_s_clique_budget(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run([
+        "sweep", "--kind", "r-clique", "--r", "4", "--k", "1", "--s-clique-budget", "5",
+        "--distinguisher", "edge-sample-tester", "--grid", "4",
+        "--trials", "20", "--seed", "1", "--out", str(out),
+    ]) == 0
+    assert "skipping N=4: sparse-S budget 5 infeasible for l=2, r=4" in capsys.readouterr().err
+    assert out.read_text() == "kind,N,T,trials,success,mean_bits,max_bits_per_query\n"

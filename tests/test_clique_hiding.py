@@ -5,7 +5,7 @@ import pytest
 from commgraph.bits import BitVec
 from commgraph.embeddings import (
     CliqueHidingParams,
-    build_clique_hiding,
+    CliqueHidingEmbedding as build_clique_hiding,
     edge_counting_block_side,
     lazy_answer,
     triangle_freeness_block_side,

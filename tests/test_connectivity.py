@@ -1,7 +1,8 @@
 import pytest
 
 from commgraph.bits import BitVec
-from commgraph.embeddings import ConnectivityParams, build_connectivity, lazy_answer
+from commgraph.embeddings import ConnectivityEmbedding as build_connectivity
+from commgraph.embeddings import ConnectivityParams, lazy_answer
 from commgraph.embeddings.base import ParameterError
 from commgraph.graph import Degree, Pair, validate_graph
 from commgraph.promises import KIntersectOrDisjoint, PromisePair, gen_promise_instance

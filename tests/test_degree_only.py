@@ -3,7 +3,8 @@ import random
 import pytest
 
 from commgraph.bits import BitVec
-from commgraph.embeddings import DegreeOnlyParams, build_degree_only, lazy_answer
+from commgraph.embeddings import DegreeOnlyEmbedding as build_degree_only
+from commgraph.embeddings import DegreeOnlyParams, lazy_answer
 from commgraph.embeddings.base import UnsupportedQuery
 from commgraph.graph import Degree, Neighbor, Pair, RandomEdge, validate_graph
 from commgraph.promises import PromisePair, UniqueIntersection

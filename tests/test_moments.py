@@ -4,8 +4,8 @@ from commgraph.bits import BitVec
 from commgraph.embeddings import (
     MomentsBlockParams,
     MomentsHidingParams,
-    build_moments_block,
-    build_moments_hiding,
+    MomentsBlockEmbedding as build_moments_block,
+    MomentsHidingEmbedding as build_moments_hiding,
     lazy_answer,
 )
 from commgraph.embeddings.base import ParameterError

@@ -7,9 +7,9 @@ from commgraph.embeddings import (
     CliqueHidingParams,
     DegreeOnlyParams,
     TriangleParams,
-    build_clique_hiding,
-    build_degree_only,
-    build_triangle,
+    CliqueHidingEmbedding as build_clique_hiding,
+    DegreeOnlyEmbedding as build_degree_only,
+    TriangleEmbedding as build_triangle,
     lazy_answer,
 )
 from commgraph.families import path_graph

@@ -6,8 +6,8 @@ from commgraph.bits import BitVec
 from commgraph.embeddings import (
     RCliqueParams,
     TriangleParams,
-    build_r_clique,
-    build_triangle,
+    RCliqueEmbedding as build_r_clique,
+    TriangleEmbedding as build_triangle,
 )
 from commgraph.embeddings.base import ParameterError
 from commgraph.graph import validate_graph

@@ -1,7 +1,7 @@
 import pytest
 
 from commgraph.bits import BitVec
-from commgraph.embeddings import TriangleParams, build_triangle, lazy_answer
+from commgraph.embeddings import TriangleParams, TriangleEmbedding as build_triangle, lazy_answer
 from commgraph.embeddings.base import ParameterError
 from commgraph.graph import Degree, Neighbor, Pair, validate_graph
 from commgraph.promises import KIntersectOrDisjoint, PromisePair, gen_promise_instance
