@@ -8,13 +8,20 @@ first hex digit.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
+
+_BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BitVec:
-    """Immutable bit vector of fixed length n."""
+    """Immutable bit vector of fixed length n.
 
-    __slots__ = ("n", "_value")
+    Indexing reads a table of one byte per bit, built on the first read
+    (or taken from ``from_bits``), so each read after it is O(1).
+    """
+
+    __slots__ = ("n", "_value", "_table")
 
     def __init__(self, n: int, value: int = 0):
         if n < 0:
@@ -23,17 +30,22 @@ class BitVec:
             raise ValueError(f"value out of range for {n} bits")
         self.n = n
         self._value = value
+        self._table: Optional[bytes] = None
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVec":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value = (value << 1) | b
-            n += 1
-        return cls(n, value)
+        if isinstance(bits, int):  # bytes(n) would read it as a length
+            raise TypeError("bits must be an iterable of 0/1 values")
+        try:
+            table = bytes(bits)
+        except ValueError:  # an int outside 0..255
+            raise ValueError("bits must be 0 or 1") from None
+        if table.translate(None, b"\x00\x01"):
+            raise ValueError("bits must be 0 or 1")
+        value = int(table.translate(_BYTE_TO_DIGIT), 2) if table else 0
+        vec = cls(len(table), value)
+        vec._table = table
+        return vec
 
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
@@ -58,7 +70,10 @@ class BitVec:
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(f"bit index {i} out of range [0, {self.n})")
-        return (self._value >> (self.n - 1 - i)) & 1
+        if self._table is None:
+            digits = format(self._value, f"0{self.n}b").encode("ascii")
+            self._table = digits.translate(_DIGIT_TO_BYTE)
+        return self._table[i]
 
     def __len__(self) -> int:
         return self.n
@@ -72,7 +87,7 @@ class BitVec:
         return BitVec(self.n, self._value & other._value)
 
     def popcount(self) -> int:
-        return bin(self._value).count("1")
+        return self._value.bit_count()
 
     def concat_copies(self, k: int) -> "BitVec":
         """k concatenated copies of this vector."""

@@ -136,9 +136,11 @@ class Embedding:
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:
         raise NotImplementedError
 
-    def input_free_degrees(self) -> list[int]:
-        """Degree table independent of the inputs; only constructions with
-        such a table support random edge queries."""
+    def input_free_degrees(self) -> list[tuple[int, int]]:
+        """Degree table independent of the inputs, as ``(count, degree)``
+        runs over vertices 0, 1, ... in order; vertices past the last run
+        have degree 0.  Only constructions with such a table support random
+        edge queries."""
         raise UnsupportedQuery(f"{self.kind} has input-dependent degrees")
 
     def edge_count(self) -> int:

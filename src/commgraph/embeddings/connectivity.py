@@ -48,20 +48,23 @@ class ConnectivityEmbedding(GridEmbedding):
         self.pad = self.n - requested if requested < 4 * l else 0
         self.a0, self.ap0, self.b0, self.bp0, self.c0 = 0, l, 2 * l, 3 * l, 4 * l
         self.n_c = self.n - 4 * l
-        # round-robin attachments: c_t's r-th neighbor is a_((t*k + r - 1) mod l)
-        attach: list[list[int]] = [[] for _ in range(l)]
-        for t in range(self.n_c):
-            for r in range(k):
-                attach[(t * k + r) % l].append(self.c0 + t)
-        self._attached = attach
+        # Round-robin attachments: c_t's r-th neighbor is a_((t*k + r - 1) mod l).
+        # Slot e = t*k + r - 1 runs over [0, n_c*k), so a_i holds the slots
+        # i, i + l, i + 2l, ... below n_c*k, in order: its j-th attachment
+        # (from 0) is c_((i + j*l) // k), and the first ``_extra`` A vertices
+        # hold one more than the others' ``_attach_base``.
+        self._attach_base, self._extra = divmod(self.n_c * k, l)
 
     def _coord(self, i: int, j: int) -> int:
         return i * self.l + j
 
+    def _attachments(self, i: int) -> int:
+        return self._attach_base + (1 if i < self._extra else 0)
+
     def degree_of(self, v: int, joint: JointAccess) -> int:
         l = self.l
         if v < l:
-            return l + len(self._attached[v])
+            return l + self._attachments(v)
         if v < self.c0:
             return l
         return self.k
@@ -72,9 +75,9 @@ class ConnectivityEmbedding(GridEmbedding):
             if i <= l:
                 j = i - 1
                 return self.bp0 + j if joint(self._coord(v, j)) else self.ap0 + j
-            hang = self._attached[v]
-            if i <= l + len(hang):
-                return hang[i - l - 1]
+            j = i - l - 1
+            if j < self._attachments(v):
+                return self.c0 + (v + j * l) // self.k
             return None
         if v < self.b0:  # a'_j
             j = v - self.ap0
@@ -125,13 +128,14 @@ class ConnectivityEmbedding(GridEmbedding):
             return "B'"
         return "C"
 
-    def input_free_degrees(self) -> list[int]:
-        l = self.l
-        return (
-            [l + len(self._attached[i]) for i in range(l)]
-            + [l] * (3 * l)
-            + [self.k] * self.n_c
-        )
+    def input_free_degrees(self) -> list[tuple[int, int]]:
+        l, base = self.l, self._attach_base
+        return [
+            (self._extra, l + base + 1),
+            (l - self._extra, l + base),
+            (3 * l, l),
+            (self.n_c, self.k),
+        ]
 
     def edge_count(self) -> int:
         return 2 * self.l * self.l + self.k * self.n_c

@@ -27,11 +27,15 @@ def graph_moment(g: ExplicitGraph, s: int) -> int:
 
 
 def _least_power_at_least(alpha: int, s: int, target: int) -> int:
-    """Smallest p >= 1 with alpha * p^s >= target."""
-    p = 1
-    while alpha * p**s < target:
-        p += 1
-    return p
+    """Smallest p >= 1 with alpha * p^s >= target, by bisection."""
+    lo, hi = 0, 1 << -(-target.bit_length() // s)  # hi^s > target
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if alpha * mid**s >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,21 @@ class MomentsHidingParams:
             raise ParameterError("m_tilde must be >= 1")
         if self.blocks < 1:
             raise ParameterError("blocks must be >= 1")
+        # The base is built and checked here, once, so every instance built
+        # from these parameters (one per trial) shares it.
+        if self.base is None:
+            if self.m_tilde % 2:
+                raise ParameterError(
+                    "default matching base needs even m_tilde; pass a base graph"
+                )
+            pairs = self.m_tilde // 2
+            object.__setattr__(self, "base", matching_graph(pairs))
+            object.__setattr__(self, "base_family", {"kind": "matching", "pairs": pairs})
+        actual = graph_moment(self.base, self.s)
+        if actual != self.m_tilde:
+            raise ParameterError(
+                f"base graph moment M_{self.s} = {actual} != m_tilde = {self.m_tilde}"
+            )
 
 
 class MomentsHidingEmbedding(Embedding):
@@ -70,22 +89,8 @@ class MomentsHidingEmbedding(Embedding):
         super().__init__(params, pp, seed)
         self.s, self.alpha, self.c = params.s, params.alpha, params.c
         self.m_tilde = params.m_tilde
-        if params.base is not None:
-            self.base = params.base
-            self.base_family = params.base_family
-        else:
-            if params.m_tilde % 2:
-                raise ParameterError(
-                    "default matching base needs even m_tilde; pass a base graph"
-                )
-            pairs = params.m_tilde // 2
-            self.base = matching_graph(pairs)
-            self.base_family = {"kind": "matching", "pairs": pairs}
-        actual = graph_moment(self.base, self.s)
-        if actual != self.m_tilde:
-            raise ParameterError(
-                f"base graph moment M_{self.s} = {actual} != m_tilde = {self.m_tilde}"
-            )
+        self.base = params.base
+        self.base_family = params.base_family
         self.p = _least_power_at_least(self.alpha, self.s, self.c * self.m_tilde)
         self.block_size = self.p + self.alpha
         self.blocks = params.blocks

@@ -181,9 +181,13 @@ class RCliqueEmbedding(GridEmbedding):
             return "S"
         return "C"
 
-    def input_free_degrees(self) -> list[int]:
-        joint_unused = lambda c: 0
-        return [self.degree_of(v, joint_unused) for v in range(self.n)]
+    def input_free_degrees(self) -> list[tuple[int, int]]:
+        l = self.l
+        runs = [(l, l + self.s_total), (l, l), (l, l + self.s_total), (l, l)]
+        active_total = sum(self.active)
+        for a in self.active:  # S_t: active prefix joined to the other sets
+            runs += [(a, 2 * l + active_total - a), (l - a, 2 * l)]
+        return runs
 
     def edge_count(self) -> int:
         l = self.l

@@ -142,12 +142,9 @@ class TriangleEmbedding(GridEmbedding):
             return "S"
         return "C"
 
-    def input_free_degrees(self) -> list[int]:
+    def input_free_degrees(self) -> list[tuple[int, int]]:
         l, s = self.l, self.s_size
-        return (
-            [l + s] * l + [l] * l + [l + s] * l + [l] * l
-            + [2 * l] * s + [0] * (self.n - self.c0)
-        )
+        return [(l, l + s), (l, l), (l, l + s), (l, l), (s, 2 * l)]
 
     def edge_count(self) -> int:
         return 2 * self.l * self.l + 2 * self.l * self.s_size

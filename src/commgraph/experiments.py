@@ -116,6 +116,8 @@ def run_distinguisher_trials(
     A budget violation invalidates the trial and counts as a failure.
     ``mean_bits`` is the mean transcript total per trial.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if d.supports and family.kind not in d.supports:
         raise ValueError(f"{d.name} does not support {family.kind}")
     successes = 0

@@ -191,26 +191,31 @@ def validate_graph(g: ExplicitGraph) -> list[str]:
 
 
 def sample_edge_by_degrees(
-    degrees: Sequence[int],
+    runs: Sequence[tuple[int, int]],
     neighbor_access: Callable[[int, int], int],
     rng: random.Random,
 ) -> tuple[int, int]:
     """Draw a uniform edge by picking a vertex with probability proportional
     to its degree and then a uniform incident position.
 
-    Each unordered edge is reached through both endpoints, so its total
-    probability is 2 / (sum of degrees) = 1/m.  Returns (u, v) with u < v.
+    ``runs`` is the degree table as ``(count, degree)`` runs over vertices
+    0, 1, ... in order (vertices past the last run have degree 0), so a
+    draw costs O(len(runs)).  Each unordered edge is reached through both
+    endpoints, so its total probability is 2 / (sum of degrees) = 1/m.
+    Returns (u, v) with u < v.
     """
-    cumulative = []
+    ends = []  # cumulative degree total at the end of each run
     total = 0
-    for d in degrees:
-        total += d
-        cumulative.append(total)
+    for count, d in runs:
+        total += count * d
+        ends.append(total)
     if total == 0:
         raise NoEdgesError("no edges: total degree is zero")
     t = rng.randrange(total)
-    v = bisect.bisect_right(cumulative, t)
-    offset = t - (cumulative[v - 1] if v else 0)
+    r = bisect.bisect_right(ends, t)
+    first = sum(count for count, _ in runs[:r])
+    step, offset = divmod(t - (ends[r - 1] if r else 0), runs[r][1])
+    v = first + step
     w = neighbor_access(v, offset + 1)
     return (v, w) if v < w else (w, v)
 

@@ -109,12 +109,40 @@ class PromisePair:
         return self.overlap > 0
 
 
+# randrange(3) keeps the top two bits of one 32-bit Mersenne Twister output
+# and rejects the value 3.  A coordinate's draw code 0, 1, 2 stands for the
+# pair (0,0), (0,1), (1,0); code 3 marks a shared coordinate (1,1).
+_TOP_BYTE_TO_CODE = bytes(b >> 6 for b in range(256))
+_REJECTED_TOP_BYTES = bytes(range(0xC0, 0x100))
+_CODE_TO_X = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x00\x01\x01")
+_CODE_TO_Y = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x01\x00\x01")
+
+
+def _randrange3_codes(rng: random.Random, count: int) -> bytes:
+    """The next ``count`` values of ``rng.randrange(3)``, drawn in bulk.
+
+    ``getrandbits(32 * w)`` packs w successive 32-bit outputs little-endian,
+    so every fourth byte is one output's top byte, in stream order.  Draws
+    past the last accepted value are left unused, so the caller must
+    discard ``rng`` afterwards.
+    """
+    codes = b""
+    while len(codes) < count:
+        words = count - len(codes)
+        words += words // 3 + 8  # a quarter of the draws are rejected
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        codes += top.translate(_TOP_BYTE_TO_CODE, _REJECTED_TOP_BYTES)
+    return codes[:count]
+
+
 def gen_promise_instance(n_bits: int, promise: Promise, seed: int) -> PromisePair:
     """Uniformly random pair satisfying the promise.
 
     The intersecting/disjoint side is chosen by a fair coin; within a side,
     each non-shared coordinate is uniform over {(0,0), (0,1), (1,0)} and
     shared positions (when present) are uniform among coordinate subsets.
+    The non-shared coordinates take successive ``randrange(3)`` values of
+    the seed's stream in coordinate order, read in bulk in O(N).
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
@@ -122,32 +150,22 @@ def gen_promise_instance(n_bits: int, promise: Promise, seed: int) -> PromisePai
         raise ValueError(f"infeasible: k={promise.k} exceeds N={n_bits}")
     rng = stream(seed)
     if isinstance(promise, Disjoint):
-        shared: set[int] = set()
+        shared: list[int] = []
     else:
         count = 1 if isinstance(promise, UniqueIntersection) else promise.k
-        shared = set(rng.sample(range(n_bits), count)) if rng.random() < 0.5 else set()
-    xbits, ybits = [], []
-    for i in range(n_bits):
-        if i in shared:
-            xbits.append(1)
-            ybits.append(1)
-        else:
-            xb, yb = ((0, 0), (0, 1), (1, 0))[rng.randrange(3)]
-            xbits.append(xb)
-            ybits.append(yb)
-    return PromisePair(BitVec.from_bits(xbits), BitVec.from_bits(ybits), promise)
-
-
-def forced_promise_instance(
-    n_bits: int, promise: Promise, seed: int, intersecting: bool
-) -> PromisePair:
-    """Like gen_promise_instance but with the promise side forced."""
-    rng = random.Random(seed)
-    for attempt in range(10_000):
-        pp = gen_promise_instance(n_bits, promise, rng.getrandbits(64))
-        if pp.intersecting == intersecting:
-            return pp
-    raise RuntimeError("could not hit the requested promise side")
+        shared = sorted(rng.sample(range(n_bits), count)) if rng.random() < 0.5 else []
+    draws = _randrange3_codes(rng, n_bits - len(shared))
+    pieces, start = [], 0
+    for j, pos in enumerate(shared):  # draws[start:pos - j] fill the gap before pos
+        pieces.append(draws[start:pos - j])
+        start = pos - j
+    pieces.append(draws[start:])
+    codes = b"\x03".join(pieces)
+    return PromisePair(
+        BitVec.from_bits(codes.translate(_CODE_TO_X)),
+        BitVec.from_bits(codes.translate(_CODE_TO_Y)),
+        promise,
+    )
 
 
 def replicate_input(x: BitVec, k: int) -> BitVec:

@@ -53,6 +53,12 @@ def compare_all_queries(inst: Embedding) -> int:
     return checked
 
 
+def expand_runs(runs, n: int) -> list[int]:
+    """Per-vertex degree list of ``(count, degree)`` runs over n vertices."""
+    degrees = [d for count, d in runs for _ in range(count)]
+    return degrees + [0] * (n - len(degrees))
+
+
 def random_instance(kind: str, seed: int) -> Embedding:
     """A random small promise instance of the given kind (n <= 200)."""
     from commgraph.embeddings import (

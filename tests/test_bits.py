@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from commgraph.bits import BitVec
 
@@ -48,3 +48,42 @@ def test_concat_copies_indexing(bits, k):
     rep = v.concat_copies(k)
     assert rep.n == v.n * k
     assert all(rep[i] == bits[i % len(bits)] for i in range(rep.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), max_size=120),
+    st.lists(st.integers(0, 1), max_size=120),
+    st.integers(1, 4),
+)
+def test_bitvec_matches_list_model(bits, other, k):
+    v = BitVec.from_bits(bits)
+    assert v.n == len(bits)
+    assert [v[i] for i in range(v.n)] == bits
+    for i in (-1, len(bits)):
+        with pytest.raises(IndexError):
+            v[i]
+    assert v.popcount() == sum(bits)
+    digits = "".join(map(str, bits))
+    nibbles = digits + "0" * (-len(bits) % 4)
+    hex_model = "".join(format(int(nibbles[j:j + 4], 2), "x") for j in range(0, len(nibbles), 4))
+    assert v.to_hex() == hex_model
+    parsed = BitVec.from_hex(hex_model, len(bits))
+    assert parsed == v
+    assert [parsed[i] for i in range(parsed.n)] == bits
+    rep = v.concat_copies(k)
+    assert [rep[i] for i in range(rep.n)] == bits * k
+    if len(other) == len(bits):
+        w = BitVec.from_bits(other)
+        assert list(v & w) == [a & b for a, b in zip(bits, other)]
+
+
+@pytest.mark.parametrize("bad", [[2], [0, 1, -1], [1, 256]])
+def test_from_bits_rejects_non_bits(bad):
+    with pytest.raises(ValueError):
+        BitVec.from_bits(bad)
+
+
+def test_from_bits_rejects_an_int():
+    with pytest.raises(TypeError):
+        BitVec.from_bits(5)

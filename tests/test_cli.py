@@ -198,3 +198,16 @@ def test_sweep_honours_s_clique_budget(tmp_path, capsys):
     ]) == 0
     assert "skipping N=4: sparse-S budget 5 infeasible for l=2, r=4" in capsys.readouterr().err
     assert out.read_text() == "kind,N,T,trials,success,mean_bits,max_bits_per_query\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--budget", "3"],
+    ["sweep", "--grid", "9"],
+])
+def test_zero_trials_is_a_config_error(tmp_path, capsys, command):
+    assert run([
+        *command, "--kind", "triangle", "--l", "3", "--k", "1",
+        "--distinguisher", "edge-sample-tester", "--trials", "0", "--seed", "1",
+        "--out" if command[0] == "sweep" else "--transcripts", str(tmp_path / "out.csv"),
+    ]) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"

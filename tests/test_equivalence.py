@@ -1,9 +1,12 @@
+import bisect
 import random
 
 import pytest
 
 from commgraph.embeddings import lazy_answer
-from commgraph.graph import Pair, RandomEdge
+from commgraph.graph import EdgeIs, Pair, RandomEdge
+from commgraph.presets import family
+from commgraph.promises import gen_promise_instance
 
 from helpers import compare_all_queries, random_instance
 
@@ -64,3 +67,39 @@ def test_gap_label_matches_comm_function():
                 assert inst.gap_label() == disj(inst.pp.x, inst.pp.y)
             else:
                 assert inst.gap_label() == inter_k(inst.pp.x, inst.pp.y, inst.pp.promise.k)
+
+
+def reference_random_edge(inst, rng):
+    """Cumulative per-vertex degree table, one randrange, bisect."""
+    cumulative, total = [], 0
+    for v in range(inst.n):
+        total += inst.degree_of(v, inst.direct_joint)
+        cumulative.append(total)
+    t = rng.randrange(total)
+    v = bisect.bisect_right(cumulative, t)
+    offset = t - (cumulative[v - 1] if v else 0)
+    w = inst.neighbor_of(v, offset + 1, inst.direct_joint)
+    return EdgeIs(*sorted((v, w)))
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("triangle", dict(l=3, k=1)),
+    ("triangle", dict(l=4, k=2, n=60)),
+    ("triangle", dict(l=5, k=2, s_size=2, n=31)),
+    ("r-clique", dict(r=4, l=3, k=1)),
+    ("r-clique", dict(r=5, l=3, k=2, n=70)),
+    ("r-clique", dict(r=4, l=4, k=1, s_clique_budget=1)),
+    ("r-clique", dict(r=5, l=4, k=2, s_clique_budget=6, n=50)),
+    ("connectivity", dict(k=1, l=2)),
+    ("connectivity", dict(k=2, l=4, n=16)),
+    ("connectivity", dict(k=2, l=4, n=21)),
+    ("connectivity", dict(k=3, l=7, n=61)),
+])
+def test_random_edge_matches_cumulative_table_sampler(kind, flags):
+    fam = family(kind, **flags)
+    for seed in range(4):
+        inst = fam.build(gen_promise_instance(fam.n_bits, fam.promise, seed))
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(100):
+            assert inst.answer(RandomEdge(), None, ours) == reference_random_edge(inst, ref)
+            assert ours.getstate() == ref.getstate()

@@ -10,8 +10,10 @@ from commgraph.embeddings import (
 )
 from commgraph.embeddings.base import ParameterError
 from commgraph.embeddings.moments_block import derive_block_shape
+from commgraph.embeddings.moments_hiding import _least_power_at_least
 from commgraph.families import complete_bipartite_graph
 from commgraph.graph import Degree, validate_graph
+from commgraph.presets import moments_hiding_family
 from commgraph.promises import PromisePair, UniqueIntersection
 from commgraph.verify import densest_subgraph_bruteforce, moment
 
@@ -80,6 +82,23 @@ def test_odd_m_tilde_needs_explicit_base():
     base = complete_bipartite_graph(1, 1)  # single edge: M_1 = 2... use a path for 3?
     # a 3-vertex path has degrees 1,2,1: M_1 = 4; build an explicit M_1 = 3 is
     # impossible (handshake), so the parameter error above is the contract.
+
+
+def test_family_builds_share_one_default_base():
+    fam = moments_hiding_family(s=2, alpha=2, c=2, m_tilde=16, blocks=2)
+    first, second = fam.build(hiding_pair(2, hot=1)), fam.build(hiding_pair(2))
+    assert first.base is second.base
+    assert first.base_family == {"kind": "matching", "pairs": 8}
+
+
+def test_least_power_matches_count_up():
+    for alpha in (1, 2, 3, 7):
+        for s in (1, 2, 3, 5):
+            for target in [*range(1, 400), 10**6, 10**6 + 1]:
+                p = 1
+                while alpha * p**s < target:
+                    p += 1
+                assert _least_power_at_least(alpha, s, target) == p, (alpha, s, target)
 
 
 # --- rerouted-block construction ---------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commgraph.bits import BitVec
+from commgraph.rng import stream
 from commgraph.promises import (
     Disjoint,
     KIntersectOrDisjoint,
@@ -9,7 +10,6 @@ from commgraph.promises import (
     PromiseViolation,
     UniqueIntersection,
     disj,
-    forced_promise_instance,
     gen_promise_instance,
     inter_k,
     replicate_input,
@@ -51,13 +51,6 @@ def test_side_is_fair_coin():
     assert abs(hits / 10_000 - 0.5) <= 0.02
 
 
-def test_forced_side():
-    pp = forced_promise_instance(8, UniqueIntersection(), 3, intersecting=True)
-    assert pp.overlap == 1
-    pp = forced_promise_instance(8, UniqueIntersection(), 3, intersecting=False)
-    assert pp.overlap == 0
-
-
 def test_replicate_definition():
     assert replicate_input(BitVec.from_string("101"), 2) == BitVec.from_string("101101")
 
@@ -86,3 +79,38 @@ def test_replication_reduction_property(seed, k):
     assert inter_k(xr, yr, k) == 1 - disj(pp.x, pp.y)
     # the replicated pair is a valid {0, k} promise pair
     PromisePair(xr, yr, KIntersectOrDisjoint(k))
+
+
+def reference_gen(n_bits, promise, seed):
+    """One rng.randrange(3) call per non-shared coordinate, as a plain loop."""
+    rng = stream(seed)
+    if isinstance(promise, Disjoint):
+        shared = set()
+    else:
+        count = 1 if isinstance(promise, UniqueIntersection) else promise.k
+        shared = set(rng.sample(range(n_bits), count)) if rng.random() < 0.5 else set()
+    xbits, ybits = [], []
+    for i in range(n_bits):
+        if i in shared:
+            xb, yb = 1, 1
+        else:
+            xb, yb = ((0, 0), (0, 1), (1, 0))[rng.randrange(3)]
+        xbits.append(xb)
+        ybits.append(yb)
+    return xbits, ybits
+
+
+def promises_for(n_bits):
+    ks = sorted({1, max(1, n_bits - 1), n_bits})
+    return [Disjoint(), UniqueIntersection()] + [KIntersectOrDisjoint(k) for k in ks]
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 3, 7, 100, 10_000])
+def test_gen_matches_plain_randrange_loop(n_bits):
+    seeds = range(3) if n_bits == 10_000 else range(40)
+    for promise in promises_for(n_bits):
+        for seed in seeds:
+            pp = gen_promise_instance(n_bits, promise, seed)
+            assert (list(pp.x), list(pp.y)) == reference_gen(n_bits, promise, seed), (
+                promise, seed,
+            )
