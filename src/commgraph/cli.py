@@ -156,7 +156,7 @@ def cmd_simulate(args) -> int:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(TRANSCRIPT_CSV_HEADER)
 
-    def on_trial(trial, output, truth, transcript):
+    def on_trial(trial, output, truth, transcript, view):
         if writer is not None and transcript is not None:
             writer.writerows(transcript.csv_rows(trial))
 

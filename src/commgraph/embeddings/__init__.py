@@ -25,7 +25,7 @@ from .clique_hiding import (
 from .connectivity import ConnectivityEmbedding, ConnectivityParams
 from .degree_only import DegreeOnlyEmbedding, DegreeOnlyParams
 from .moments_block import MomentsBlockEmbedding, MomentsBlockParams
-from .moments_hiding import MomentsHidingEmbedding, MomentsHidingParams, graph_moment
+from .moments_hiding import MomentsHidingEmbedding, MomentsHidingParams
 from .rclique import RCliqueEmbedding, RCliqueParams
 from .triangle import TriangleEmbedding, TriangleParams
 
@@ -95,7 +95,6 @@ __all__ = [
     "UnsupportedQuery",
     "edge_counting_block_side",
     "gap_label",
-    "graph_moment",
     "instance_from_json",
     "instance_to_json",
     "lazy_answer",

@@ -17,17 +17,13 @@ from typing import Callable, Optional
 
 from ..graph import (
     ContractViolation,
-    Degree,
     DegreeIs,
     EdgeIs,
     ExplicitGraph,
-    Neighbor,
     NeighborIs,
-    Pair,
     PairIs,
     Query,
     QueryAnswer,
-    check_query,
     query_kind,
     sample_edge_by_degrees,
 )
@@ -52,6 +48,22 @@ class UnsupportedQuery(ValueError):
 
 class MaterializationCapExceeded(RuntimeError):
     """Instance too large to materialize; it remains usable lazily."""
+
+
+def least_at_least(f: Callable[[int], int], target: int) -> int:
+    """Smallest x >= 1 with f(x) >= target, for a nondecreasing integer
+    function f that eventually reaches the target: doubling, then
+    bisection, so O(log x) evaluations of f in exact integer arithmetic."""
+    lo, hi = 0, 1  # f(lo) < target is assumed for lo = 0
+    while f(hi) < target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def flag_name(field: str) -> str:
@@ -161,25 +173,35 @@ class Embedding:
         kind = query_kind(q)
         if kind not in self.supported:
             raise UnsupportedQuery(f"{self.kind} does not answer {kind} queries")
-        check_query(q, self.n)
         if joint is None:
             joint = self.direct_joint
-        if isinstance(q, Degree):
-            return DegreeIs(self.degree_of(q.v, joint))
-        if isinstance(q, Neighbor):
-            return NeighborIs(self.neighbor_of(q.v, q.i, joint))
-        if isinstance(q, Pair):
-            if q.u == q.v:
+        n = self.n
+        if kind == "pair":
+            u, v = q
+            if not (0 <= u < n and 0 <= v < n):
+                bad = v if 0 <= u < n else u
+                raise ContractViolation(f"vertex {bad} out of range [0, {n})")
+            if u == v:
                 return PairIs(0)
-            return PairIs(self.pair_of(q.u, q.v, joint))
-        if rng is None:
-            raise ContractViolation("RandomEdge needs a randomness stream")
-        u, v = sample_edge_by_degrees(
-            self.input_free_degrees(),
-            lambda w, i: self.neighbor_of(w, i, joint),
-            rng,
-        )
-        return EdgeIs(u, v)
+            return PairIs(self.pair_of(u, v, joint))
+        if kind == "random_edge":
+            if rng is None:
+                raise ContractViolation("RandomEdge needs a randomness stream")
+            u, v = sample_edge_by_degrees(
+                self.input_free_degrees(),
+                lambda w, i: self.neighbor_of(w, i, joint),
+                rng,
+            )
+            return EdgeIs(u, v)
+        v = q[0]
+        if not 0 <= v < n:
+            raise ContractViolation(f"vertex {v} out of range [0, {n})")
+        if kind == "degree":
+            return DegreeIs(self.degree_of(v, joint))
+        i = q.i
+        if not 1 <= i <= max(n - 1, 1):
+            raise ContractViolation(f"neighbor index {i} out of range [1, {n - 1}]")
+        return NeighborIs(self.neighbor_of(v, i, joint))
 
     # -- materialization and labels --------------------------------------
 

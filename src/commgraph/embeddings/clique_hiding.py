@@ -110,7 +110,7 @@ class CliqueHidingEmbedding(Embedding):
         b = v - self.offset
         if self.augment and b == 0:
             return (i - 1 if i <= self.offset else i) if i <= self.n - 1 else None
-        row = self.base.adj[b]
+        row = self.base.row(b)
         if i <= len(row):
             return self.offset + row[i - 1]
         if self.augment and i == len(row) + 1 and not self.base.has_edge(b, 0):

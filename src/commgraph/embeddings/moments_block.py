@@ -29,19 +29,14 @@ from math import comb
 from typing import Optional
 
 from ..promises import PromisePair
-from .base import Embedding, JointAccess, ParameterError
+from .base import Embedding, JointAccess, ParameterError, least_at_least
 
 
 def _floor_root(value: int, s: int) -> int:
     """Largest d >= 0 with d^s <= value."""
     if value < 0:
         raise ValueError("negative radicand")
-    d = int(round(value ** (1.0 / s))) if value else 0
-    while d**s > value:
-        d -= 1
-    while (d + 1) ** s <= value:
-        d += 1
-    return d
+    return least_at_least(lambda d: d**s, value + 1) - 1
 
 
 def _least_scaled(target: int, unit: int) -> int:
@@ -265,7 +260,4 @@ class MomentsBlockEmbedding(Embedding):
 
 def _least_scaled_root(target: int, unit: int, s: int) -> int:
     """Smallest l >= 1 with (unit * l)^s >= target."""
-    l = 1
-    while (unit * l) ** s < target:
-        l += 1
-    return l
+    return least_at_least(lambda l: (unit * l) ** s, target)

@@ -16,26 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..families import base_graph_from_json, base_graph_to_json, matching_graph
+from ..families import MatchingGraph, base_graph_from_json, base_graph_to_json
 from ..graph import ExplicitGraph
 from ..promises import PromisePair
-from .base import Embedding, JointAccess, ParameterError
-
-
-def graph_moment(g: ExplicitGraph, s: int) -> int:
-    return sum(d**s for d in g.degrees())
+from .base import Embedding, JointAccess, ParameterError, least_at_least
 
 
 def _least_power_at_least(alpha: int, s: int, target: int) -> int:
-    """Smallest p >= 1 with alpha * p^s >= target, by bisection."""
-    lo, hi = 0, 1 << -(-target.bit_length() // s)  # hi^s > target
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if alpha * mid**s >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    """Smallest p >= 1 with alpha * p^s >= target."""
+    return least_at_least(lambda p: alpha * p**s, target)
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,7 @@ class MomentsHidingParams:
     c: int
     m_tilde: int
     blocks: int
-    base: Optional[ExplicitGraph] = None  # default: matching with moment m_tilde
+    base: Optional[ExplicitGraph | MatchingGraph] = None  # default: matching, moment m_tilde
     base_family: Optional[dict] = None
 
     def __post_init__(self):
@@ -67,9 +56,9 @@ class MomentsHidingParams:
                     "default matching base needs even m_tilde; pass a base graph"
                 )
             pairs = self.m_tilde // 2
-            object.__setattr__(self, "base", matching_graph(pairs))
+            object.__setattr__(self, "base", MatchingGraph(pairs))
             object.__setattr__(self, "base_family", {"kind": "matching", "pairs": pairs})
-        actual = graph_moment(self.base, self.s)
+        actual = self.base.moment(self.s)
         if actual != self.m_tilde:
             raise ParameterError(
                 f"base graph moment M_{self.s} = {actual} != m_tilde = {self.m_tilde}"
@@ -124,7 +113,7 @@ class MomentsHidingEmbedding(Embedding):
             if i <= self.p and joint(j):
                 return start + (i - 1)
             return None
-        row = self.base.adj[v - self.offset]
+        row = self.base.row(v - self.offset)
         return self.offset + row[i - 1] if i <= len(row) else None
 
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:

@@ -18,7 +18,7 @@ from math import prod
 from typing import Optional
 
 from ..promises import PromisePair
-from .base import GridEmbedding, JointAccess, ParameterError
+from .base import GridEmbedding, JointAccess, ParameterError, least_at_least
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,12 @@ def _active_sizes(r: int, l: int, budget: Optional[int]) -> list[int]:
         )
     if budget < 1 or budget > l**sets:
         raise ParameterError(f"sparse-S budget {budget} infeasible for l={l}, r={r}")
-    sizes = [1] * sets
-    while prod(sizes) < budget:
-        idx = sizes.index(min(sizes))
-        if sizes[idx] >= l:
-            raise ParameterError("sparse-S budget infeasible")
-        sizes[idx] += 1
-    return sizes
+    # Raising the first smallest size by one at a time until the product
+    # reaches the budget stops at j sizes a + 1 followed by sets - j sizes
+    # a, where a + 1 is the least integer root of the budget.
+    a = least_at_least(lambda b: b**sets, budget) - 1
+    j = next(j for j in range(1, sets + 1) if (a + 1) ** j * a ** (sets - j) >= budget)
+    return [a + 1] * j + [a] * (sets - j)
 
 
 class RCliqueEmbedding(GridEmbedding):

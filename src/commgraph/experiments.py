@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
 from .embeddings.base import Embedding, ParameterError
@@ -48,6 +49,20 @@ class PublicView:
 
 @dataclass(frozen=True)
 class Distinguisher:
+    """A query algorithm ``run(oracle, view, budget, rng) -> label`` and the
+    kinds it supports.
+
+    The prefix contract: a distinguisher answers ``view.label_intersecting``
+    exactly when one of its queries showed a witness, and it stops at that
+    query; otherwise it answers ``view.label_disjoint``.  Which queries it
+    makes depends on the oracle's answers and ``rng``, never on ``budget``,
+    which only cuts the run short.  With the same randomness, the run at
+    budget T is then the first T queries of the run at any larger budget,
+    which is what lets ``minimal_budget`` read the success at every budget
+    up to hi from one set of trials run at hi.  All three reference
+    distinguishers satisfy it.
+    """
+
     name: str
     supports: frozenset
     run: Callable[[ReductionOracle, PublicView, int, random.Random], int]
@@ -75,7 +90,6 @@ class SweepRow:
     success: float
     mean_bits: float
     max_bits_per_query: int
-    warn: bool = False
 
     def csv_tuple(self) -> tuple:
         return (
@@ -114,7 +128,11 @@ def run_distinguisher_trials(
     """Fresh promise instance per trial, every query transcripted.
 
     A budget violation invalidates the trial and counts as a failure.
-    ``mean_bits`` is the mean transcript total per trial.
+    ``mean_bits`` is the mean transcript total per trial.  Trial t draws
+    its inputs and randomness from ``derive_seed(seed, t, .)`` alone, so
+    the same seed runs the same trials at every budget.  ``on_trial``
+    gets ``(t, output, truth, transcript, view)`` after each trial, with
+    output and transcript None after a budget violation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -145,7 +163,7 @@ def run_distinguisher_trials(
             total_bits += transcript.total_bits
             max_bits = max(max_bits, transcript.max_bits_per_query)
         if on_trial is not None:
-            on_trial(t, output, truth, transcript)
+            on_trial(t, output, truth, transcript, view)
     return SweepRow(
         kind=family.kind,
         n_bits=family.n_bits,
@@ -307,14 +325,64 @@ def approx_checker(
 
 
 @dataclass
-class _SearchLog:
-    evaluations: dict = field(default_factory=dict)  # budget -> success rate
+class CoupledTrials:
+    """One set of trials run at budget ``hi``, read at every budget T <= hi.
 
+    By the prefix contract (see ``Distinguisher``), the run at T outputs
+    the intersecting label exactly when the run at hi showed its witness
+    by query T, and its queries are the first min(q, T) of the q made at
+    hi.  So each trial succeeds on an interval of budgets: from its witness
+    query up when the witness was right, below it when it was wrong, at
+    every budget or at none when it showed no witness.  A budget violation
+    fails the trial at every budget.
+    """
 
-def _monotone(log: _SearchLog) -> bool:
-    pts = sorted(log.evaluations.items())
-    # allow small noise: a later budget may dip a little below an earlier one
-    return all(b[1] >= a[1] - 0.08 for a, b in zip(pts, pts[1:]))
+    family: InstanceFamily
+    hi: int
+    trials: int
+    successes: list[int]  # trials succeeding at budget T, for T = 0..hi
+    bits: list[bytes]  # per trial, the bit cost of each query made at hi
+
+    @classmethod
+    def run(
+        cls, family: InstanceFamily, d: Distinguisher, hi: int, trials: int, seed: int
+    ) -> "CoupledTrials":
+        delta = [0] * (hi + 2)
+        per_trial_bits = []
+
+        def record(t, output, truth, transcript, view):
+            if transcript is None:
+                per_trial_bits.append(b"")
+                return
+            ok = output == truth
+            if output == view.label_intersecting:  # witness at the last query
+                q = transcript.query_count
+                first, last = (q, hi) if ok else (0, q - 1)
+            else:
+                first, last = (0, hi) if ok else (1, 0)  # (1, 0): no budget
+            delta[first] += 1
+            delta[last + 1] -= 1
+            # a query costs 0 or 2 bits, so one byte each
+            per_trial_bits.append(bytes(e.bits for e in transcript.entries))
+
+        run_distinguisher_trials(family, d, hi, trials, seed, on_trial=record)
+        return cls(family, hi, trials, list(accumulate(delta[: hi + 1])), per_trial_bits)
+
+    def row(self, budget: int) -> SweepRow:
+        """The row ``run_distinguisher_trials`` reports at ``budget`` on the
+        same seed."""
+        if not 1 <= budget <= self.hi:
+            raise ValueError(f"budget {budget} outside [1, {self.hi}]")
+        prefixes = [bits[:budget] for bits in self.bits]
+        return SweepRow(
+            kind=self.family.kind,
+            n_bits=self.family.n_bits,
+            budget=budget,
+            trials=self.trials,
+            success=self.successes[budget] / self.trials,
+            mean_bits=sum(sum(b) for b in prefixes) / self.trials,
+            max_bits_per_query=max((max(b, default=0) for b in prefixes), default=0),
+        )
 
 
 def minimal_budget(
@@ -324,37 +392,25 @@ def minimal_budget(
     seed: int,
     target: float = 2.0 / 3.0,
     budget_cap: Optional[int] = None,
-) -> tuple[Optional[int], int, bool, _SearchLog]:
-    """Binary-search the least budget whose Wilson lower bound reaches the
-    target success rate.  Returns (budget or None, trials used, warn, log)."""
+) -> tuple[Optional[int], Optional[SweepRow]]:
+    """The least budget T* whose Wilson lower bound reaches the target
+    success rate, and its row.
+
+    Doubling steps hi = 1, 2, 4, ... (up to the cap, 64 N by default) each
+    run one set of trials on the same seed, so every trial keeps its inputs
+    and randomness at every budget, and the success count at each T <= hi
+    is read from that one set (``CoupledTrials``).  The first step where
+    some T reaches the target ends the search; the row comes from the same
+    trials.  Returns (None, None) if no budget reaches the target."""
     cap = budget_cap if budget_cap is not None else 64 * family.n_bits
-    warned = False
-    for attempt in range(2):
-        log = _SearchLog()
-
-        def good(t: int) -> bool:
-            row = run_distinguisher_trials(family, d, t, trials, derive_seed(seed, attempt, t))
-            log.evaluations[t] = row.success
-            return wilson_lower(round(row.success * trials), trials) >= target
-
-        hi = 1
-        while hi <= cap and not good(hi):
-            hi *= 2
-        if hi > cap:
-            return None, trials, True, log
-        lo = hi // 2  # good(lo) unknown for hi == 1; treat 0 as failing
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if good(mid):
-                hi = mid
-            else:
-                lo = mid
-        if _monotone(log):
-            return hi, trials, warned, log
-        # noisy, widen once and retry
-        trials *= 2
-        warned = True
-    return hi, trials, True, log
+    hi = 1
+    while hi <= cap:
+        coupled = CoupledTrials.run(family, d, hi, trials, seed)
+        for t_star in range(1, hi + 1):
+            if wilson_lower(coupled.successes[t_star], trials) >= target:
+                return t_star, coupled.row(t_star)
+        hi *= 2
+    return None, None
 
 
 def threshold_sweep(
@@ -365,11 +421,11 @@ def threshold_sweep(
     trials: int = 400,
 ) -> list[SweepRow]:
     """For each grid size, find the minimal budget reaching 2/3 success and
-    report it with that budget's bit statistics.
+    report it with that budget's bit statistics, all from the search's own
+    trials (see ``minimal_budget``).
 
     A grid size whose parameters are invalid, or where no budget reaches
-    2/3 success, is skipped with a line on stderr.  A size whose search had
-    to widen its trials keeps its row and gets a warning line."""
+    2/3 success, is skipped with a line on stderr."""
     rows = []
     for idx, n_bits in enumerate(grid):
         try:
@@ -377,18 +433,10 @@ def threshold_sweep(
         except ParameterError as exc:
             print(f"skipping N={n_bits}: {exc}", file=sys.stderr)
             continue
-        t_star, used, warn, _ = minimal_budget(
-            family, d, trials, derive_seed(seed, idx)
-        )
+        t_star, row = minimal_budget(family, d, trials, derive_seed(seed, idx))
         if t_star is None:
             print(f"skipping N={n_bits}: no budget reached 2/3 success", file=sys.stderr)
             continue
-        row = run_distinguisher_trials(
-            family, d, t_star, used, derive_seed(seed, idx, 0xFF)
-        )
-        if warn:
-            print(f"warning: N={n_bits} needed widened trials", file=sys.stderr)
-        row.warn = warn
         rows.append(row)
     return rows
 

@@ -2,6 +2,9 @@
 
 Used by builders and the CLI whenever a construction needs an arbitrary
 but reproducible base graph.  Neighbor orderings are ascending by id.
+A construction reads its base graph through ``n``, ``m``, ``degree``,
+``row``, ``has_edge`` and ``moment`` only, so a family that answers these
+by formula (``MatchingGraph``) never materializes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,33 @@ def matching_graph(pairs: int) -> ExplicitGraph:
     for v in range(2 * pairs):
         adj.append([v + 1] if v % 2 == 0 else [v - 1])
     return ExplicitGraph(2 * pairs, adj)
+
+
+class MatchingGraph:
+    """The perfect matching of ``matching_graph(pairs)``, answered by
+    formula: vertex v's one neighbor is v XOR 1."""
+
+    def __init__(self, pairs: int):
+        if not isinstance(pairs, int) or pairs < 0:
+            raise ValueError(f"matching needs a pair count >= 0, got {pairs!r}")
+        self.pairs = pairs
+        self.n = 2 * pairs
+        self.m = pairs
+
+    def degree(self, v: int) -> int:
+        return 1
+
+    def row(self, v: int) -> tuple[int]:
+        return (v ^ 1,)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u ^ 1 == v
+
+    def moment(self, s: int) -> int:
+        return self.n
+
+    def __repr__(self) -> str:
+        return f"MatchingGraph(n={self.n}, m={self.m})"
 
 
 def path_graph(n: int) -> ExplicitGraph:
@@ -73,12 +103,12 @@ def star_graph(leaves: int) -> ExplicitGraph:
 
 FAMILY_BUILDERS = {
     "lex": lambda desc: lex_graph(desc["n"], desc["m"]),
-    "matching": lambda desc: matching_graph(desc["pairs"]),
+    "matching": lambda desc: MatchingGraph(desc["pairs"]),
     "path": lambda desc: path_graph(desc["n"]),
 }
 
 
-def base_graph_from_json(desc: dict) -> ExplicitGraph:
+def base_graph_from_json(desc: dict) -> ExplicitGraph | MatchingGraph:
     kind = desc["kind"]
     if kind == "explicit":
         return ExplicitGraph(desc["n"], desc["adj"])

@@ -63,16 +63,19 @@ QueryAnswer = DegreeIs | NeighborIs | PairIs | EdgeIs
 ALL_QUERY_KINDS = frozenset({"degree", "neighbor", "pair", "random_edge"})
 
 
+_QUERY_KINDS = {
+    Degree: "degree",
+    Neighbor: "neighbor",
+    Pair: "pair",
+    RandomEdge: "random_edge",
+}
+
+
 def query_kind(q: Query) -> str:
-    if isinstance(q, Degree):
-        return "degree"
-    if isinstance(q, Neighbor):
-        return "neighbor"
-    if isinstance(q, Pair):
-        return "pair"
-    if isinstance(q, RandomEdge):
-        return "random_edge"
-    raise ContractViolation(f"unknown query {q!r}")
+    try:
+        return _QUERY_KINDS[type(q)]
+    except KeyError:
+        raise ContractViolation(f"unknown query {q!r}") from None
 
 
 def check_query(q: Query, n: int) -> None:
@@ -111,11 +114,19 @@ class ExplicitGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
+    def row(self, v: int) -> Sequence[int]:
+        """v's neighbors in order."""
+        return self.adj[v]
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._sets[u]
 
     def degrees(self) -> list[int]:
         return [len(row) for row in self.adj]
+
+    def moment(self, s: int) -> int:
+        """The s-th degree moment, sum of deg(v)^s."""
+        return sum(d**s for d in self.degrees())
 
     def edges(self) -> list[tuple[int, int]]:
         """Canonical edge list: (u, v) with u < v, sorted."""

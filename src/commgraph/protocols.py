@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bits import BitVec
 from .embeddings.base import Embedding
@@ -31,8 +31,7 @@ class BudgetExceeded(RuntimeError):
     """The algorithm tried to exceed its query budget."""
 
 
-@dataclass
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     query_kind: str
     bits: int
 
@@ -102,22 +101,21 @@ class ProtocolSession:
         self._active_party: Optional[str] = None
         self._current_coords: Optional[set[int]] = None
 
-    def _read_as(self, party: str, guarded: _GuardedBits, coord: int) -> int:
-        previous = self._active_party
-        self._active_party = party
-        try:
-            return guarded[coord]
-        finally:
-            self._active_party = previous
-
     def exchange(self, coord: int) -> int:
         """Run the designated coordinate protocol: Alice sends her bit, Bob
         sends his.  Returns the AND.  Charged once per coordinate per query."""
-        if self._current_coords is None:
+        coords = self._current_coords
+        if coords is None:
             raise RuntimeError("exchange outside of a query simulation")
-        xb = self._read_as("alice", self.alice_input, coord)
-        yb = self._read_as("bob", self.bob_input, coord)
-        self._current_coords.add(coord)
+        previous = self._active_party
+        try:
+            self._active_party = "alice"
+            xb = self.alice_input[coord]
+            self._active_party = "bob"
+            yb = self.bob_input[coord]
+        finally:
+            self._active_party = previous
+        coords.add(coord)
         return xb & yb
 
     def simulate(self, q: Query) -> QueryAnswer:

@@ -243,7 +243,7 @@ def test_criterion_6_threshold_scaling():
     points = []
     for N in (16, 32, 64, 128, 256):
         family = clique_hiding_family(blocks=N, l=2, base_n=2, base_m=1)
-        t_star, _, _, _ = minimal_budget(family, d, trials=400, seed=202_406)
+        t_star, _ = minimal_budget(family, d, trials=400, seed=202_406)
         assert t_star is not None
         points.append((float(N), float(t_star)))
     slope = loglog_slope(points)

@@ -211,3 +211,14 @@ def test_zero_trials_is_a_config_error(tmp_path, capsys, command):
         "--out" if command[0] == "sweep" else "--transcripts", str(tmp_path / "out.csv"),
     ]) == 2
     assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+
+
+def test_huge_moment_parameters_are_a_config_error(tmp_path, capsys):
+    # d = floor(sqrt(m_tilde / n_side)) far exceeds n_side; finding it must
+    # not go through floats, which overflow at 10^320
+    assert run([
+        "gen", "--kind", "moments-block", "--s", "2", "--alpha", str(10**200),
+        "--c", "1", "--m-tilde", str(10**320), "--n-side", "4", "--seed", "1",
+        "--out", str(tmp_path / "x.json"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("error: derived degree d = ")

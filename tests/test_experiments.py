@@ -176,7 +176,7 @@ def test_wilson_lower_properties():
 def test_minimal_budget_small_grid():
     family = clique_hiding_family(blocks=8, l=2)
     d = distinguisher_by_name("pair-probe")
-    t_star, trials, warn, _ = minimal_budget(family, d, trials=200, seed=5)
+    t_star, _ = minimal_budget(family, d, trials=200, seed=5)
     assert t_star is not None
     # at N = 8 the scanner needs a handful of probes, not dozens
     assert 1 <= t_star <= 24

@@ -122,8 +122,8 @@ DIGESTS = {
     "simulate:pair-probe": "0f9787bd5dad5cc1ac260c1359ac335ec81edea82c2f0487f95bdd17ba9d1e01",
     "simulate:degree-scan": "9ba58d7bcc8cb907eb4db206fab65f36480d28e9a0379fdf8d3b1c0c062a82f5",
     "simulate:edge-sample-tester": "bbfd8bf3ad0bc9e45eb60fe0170609d43105f42834516ca2ce47b17049cf485e",
-    "sweep:clique-hiding": "2902499ed2f721cb6936249ffd04ff4a6e44d16a788f054932840022c771ec06",
-    "sweep:triangle": "a308b963c29e470e41739feeb4f3f3a05635642c57eaa5072b48ed952c7a0b85",
+    "sweep:clique-hiding": "02bde867d14b7de11e807965c33c3fd8e3ab213c23960596b29a9c4bfedbedcb",
+    "sweep:triangle": "6eb082fc5bba54c93f0ae19b2d1fc017322c1d1c03fc912bd9c16a1dfdac7825",
 }
 
 

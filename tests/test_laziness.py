@@ -1,4 +1,5 @@
-"""Laziness of the random-edge path, checked by counting work, not timing it.
+"""Laziness of the random-edge path and of the moments-hiding build,
+checked by counting work, not timing it.
 
 Building a lazy-only instance and drawing random edges from it must
 allocate nothing in proportion to n.  Each case first runs at n = 10^5,
@@ -12,9 +13,10 @@ import tracemalloc
 
 import pytest
 
-from commgraph.graph import RandomEdge
+from commgraph.families import MatchingGraph, matching_graph
+from commgraph.graph import Degree, Neighbor, Pair, RandomEdge
 from commgraph.presets import family
-from commgraph.promises import gen_promise_instance
+from commgraph.promises import UniqueIntersection, gen_promise_instance
 
 DRAWS = 50
 MAX_ALLOCATED = 64 * 1024  # bytes: a few objects, no per-vertex table
@@ -52,3 +54,40 @@ def test_random_edge_path_is_flat_in_n(kind, flags, max_runs):
         peak, runs = build_and_draw(kind, flags, n)
         assert peak <= MAX_ALLOCATED, (n, peak)
         assert len(runs) <= max_runs
+
+
+def build_moments_hiding(m_tilde):
+    """Peak bytes allocated by building the moments-hiding family with its
+    default matching base, one instance from it and three queries."""
+    pp = gen_promise_instance(16, UniqueIntersection(), 1)
+    tracemalloc.start()
+    try:
+        fam = family("moments-hiding", s=2, alpha=4, c=1, m_tilde=m_tilde, blocks=16)
+        inst = fam.build(pp)
+        last = inst.n - 1
+        answers = [inst.answer(q) for q in (Degree(last), Neighbor(last, 1), Pair(last - 1, last))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.base.n == m_tilde
+    assert [tuple(a) for a in answers] == [(1,), (last - 1,), (1,)]
+    return peak
+
+
+def test_moments_hiding_build_is_flat_in_m_tilde():
+    for m_tilde in (2 * 10**5, 2 * 10**9):
+        peak = build_moments_hiding(m_tilde)
+        assert peak <= MAX_ALLOCATED, (m_tilde, peak)
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 2, 5])
+def test_matching_formula_equals_the_explicit_matching(pairs):
+    lazy, explicit = MatchingGraph(pairs), matching_graph(pairs)
+    assert (lazy.n, lazy.m) == (explicit.n, explicit.m)
+    for s in (1, 2, 3):
+        assert lazy.moment(s) == explicit.moment(s)
+    for u in range(explicit.n):
+        assert lazy.degree(u) == explicit.degree(u)
+        assert tuple(lazy.row(u)) == explicit.row(u)
+        for v in range(explicit.n):
+            assert lazy.has_edge(u, v) == explicit.has_edge(u, v)

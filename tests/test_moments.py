@@ -9,7 +9,11 @@ from commgraph.embeddings import (
     lazy_answer,
 )
 from commgraph.embeddings.base import ParameterError
-from commgraph.embeddings.moments_block import derive_block_shape
+from commgraph.embeddings.moments_block import (
+    _floor_root,
+    _least_scaled_root,
+    derive_block_shape,
+)
 from commgraph.embeddings.moments_hiding import _least_power_at_least
 from commgraph.families import complete_bipartite_graph
 from commgraph.graph import Degree, validate_graph
@@ -99,6 +103,30 @@ def test_least_power_matches_count_up():
                 while alpha * p**s < target:
                     p += 1
                 assert _least_power_at_least(alpha, s, target) == p, (alpha, s, target)
+
+
+def test_floor_root_matches_count_down():
+    for s in (1, 2, 3, 5):
+        for value in [*range(0, 600), 10**6, 10**6 - 1]:
+            d = value
+            while d**s > value:
+                d -= 1
+            assert _floor_root(value, s) == d, (value, s)
+    assert _floor_root(10**320, 2) == 10**160
+    assert _floor_root(10**320 - 1, 2) == 10**160 - 1
+    with pytest.raises(ValueError):
+        _floor_root(-1, 2)
+
+
+def test_least_scaled_root_matches_count_up():
+    for unit in (1, 2, 3, 8):
+        for s in (1, 2, 3):
+            for target in [*range(1, 300), 10**5]:
+                l = 1
+                while (unit * l) ** s < target:
+                    l += 1
+                assert _least_scaled_root(target, unit, s) == l, (target, unit, s)
+    assert _least_scaled_root((2 * 5 * 10**7) ** 2, 2, 2) == 5 * 10**7
 
 
 # --- rerouted-block construction ---------------------------------------------

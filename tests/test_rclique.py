@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -10,6 +10,7 @@ from commgraph.embeddings import (
     TriangleEmbedding as build_triangle,
 )
 from commgraph.embeddings.base import ParameterError
+from commgraph.embeddings.rclique import _active_sizes
 from commgraph.graph import validate_graph
 from commgraph.promises import KIntersectOrDisjoint, PromisePair, gen_promise_instance
 from commgraph.verify import count_r_cliques, count_triangles
@@ -109,3 +110,15 @@ def test_degree_sequence_invariant():
 def test_r_must_be_at_least_3():
     with pytest.raises(ParameterError):
         RCliqueParams(r=2, l=3, k=1)
+
+
+def test_active_sizes_match_one_step_at_a_time():
+    for r in (4, 5, 6):
+        sets = r - 2
+        for l in (1, 2, 3, 5):
+            for budget in range(1, l**sets + 1):
+                sizes = [1] * sets
+                while prod(sizes) < budget:
+                    sizes[sizes.index(min(sizes))] += 1
+                assert _active_sizes(r, l, budget) == sizes, (r, l, budget)
+    assert _active_sizes(6, 10**6, 10**20) == [10**5] * 4
