@@ -106,6 +106,8 @@ class ExplicitGraph:
         self.adj: list[tuple[int, ...]] = [tuple(row) for row in adjacency]
         self._sets = [frozenset(row) for row in self.adj]
         self._edges: Optional[list[tuple[int, int]]] = None
+        # (peel order, rank, core numbers), filled once by the verifiers
+        self._cores: Optional[tuple[list[int], list[int], list[int]]] = None
 
     @property
     def m(self) -> int:

@@ -1,4 +1,4 @@
-"""Independent brute-force verifiers for every gap claim.
+"""Independent exact verifiers for every gap claim.
 
 Everything here works on materialized graphs with exact integer or
 rational arithmetic; no floating point.  These are the second route
@@ -9,7 +9,6 @@ of them share code with the lazy rules.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -58,9 +57,19 @@ def count_triangles(g: ExplicitGraph) -> int:
 
 
 def count_r_cliques(g: ExplicitGraph, r: int, budget: int = 20_000_000) -> int:
-    """Exact r-clique count by ordered backtracking with degree pruning.
+    """Exact r-clique count over forward neighbourhoods in degeneracy order
+    (Chiba-Nishizeki), on bitsets.
 
-    Refuses (with progress so far) once the expansion budget is hit.
+    Each clique is counted once, from its first vertex v in the peel order,
+    as an (r-1)-clique of v's forward neighbours (at most the degeneracy
+    of them).  Those are greedily coloured and relabelled 0..d-1 by colour
+    class, so every clique's labels rise with its colours, and each gets a
+    d-bit mask of its higher-labelled neighbours.  Candidate sets shrink
+    by ``&``; a candidate is only picked while enough colours remain above
+    it to finish a clique, and the last vertex is counted by
+    ``bit_count``.  Each partial clique whose candidates are scanned costs
+    one step of ``budget``; past it the count refuses with the progress so
+    far.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -68,91 +77,164 @@ def count_r_cliques(g: ExplicitGraph, r: int, budget: int = 20_000_000) -> int:
         return g.n
     if r == 2:
         return g.m
-    higher = [sorted(w for w in g.adj[v] if w > v) for v in range(g.n)]
-    higher_sets = [frozenset(row) for row in higher]
+    order, rank, _ = _core_decomposition(g)
+    # forward[v]: v's neighbours later in the peel order
+    forward: list[list[int]] = [[] for _ in range(g.n)]
+    for v in order:
+        for w in g.adj[v]:
+            if rank[w] < rank[v]:
+                forward[w].append(v)
     count = 0
     steps = 0
 
-    def extend(candidates: list[int], depth: int) -> None:
-        nonlocal steps, count
-        for idx, v in enumerate(candidates):
-            steps += 1
-            if steps > budget:
-                raise VerifyBudgetExceeded(
-                    f"r-clique enumeration budget exceeded after counting {count}"
-                )
-            if depth == r:
-                count += 1
-                continue
-            nxt = [w for w in candidates[idx + 1:] if w in higher_sets[v]]
-            if len(nxt) >= r - depth:
-                extend(nxt, depth + 1)
+    def extend(candidates: int, masks: list[int], pickable: list[int], missing: int) -> None:
+        # count the cliques that add ``missing`` >= 2 vertices from ``candidates``
+        nonlocal count, steps
+        steps += 1
+        if steps > budget:
+            raise VerifyBudgetExceeded(
+                f"r-clique enumeration budget exceeded after counting {count}"
+            )
+        picks = candidates & pickable[missing]
+        while picks:
+            low = picks & -picks
+            picks ^= low
+            nxt = candidates & masks[low.bit_length() - 1]
+            if missing == 2:
+                count += nxt.bit_count()
+            elif nxt.bit_count() >= missing - 1:
+                extend(nxt, masks, pickable, missing - 1)
 
-    for v in range(g.n):
-        if len(higher[v]) >= r - 1:
-            extend(higher[v], 2)
+    for v in order:
+        row = forward[v]
+        if len(row) < r - 1:
+            continue
+        local = {w: j for j, w in enumerate(row)}
+        adjacent = [0] * len(row)
+        for j, w in enumerate(row):
+            for x in forward[w]:
+                i = local.get(x)
+                if i is not None:
+                    adjacent[j] |= 1 << i
+                    adjacent[i] |= 1 << j
+        # greedy colouring, one independent class at a time
+        by_colour: list[int] = []
+        class_ends: list[int] = []
+        uncoloured = (1 << len(row)) - 1
+        while uncoloured:
+            free = uncoloured
+            while free:
+                low = free & -free
+                j = low.bit_length() - 1
+                by_colour.append(j)
+                uncoloured ^= low
+                free &= ~adjacent[j] & ~low
+            class_ends.append(len(by_colour))
+        colours = len(class_ends)
+        if colours < r - 1:
+            continue
+        label = [0] * len(row)
+        for new, j in enumerate(by_colour):
+            label[j] = new
+        masks = []
+        for new, j in enumerate(by_colour):
+            mask, rest = 0, adjacent[j]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                mask |= 1 << label[low.bit_length() - 1]
+            masks.append(mask >> (new + 1) << (new + 1))
+        # pickable[k]: the labels with at least k - 1 colour classes above
+        pickable = [0] + [
+            (1 << class_ends[colours - k]) - 1 if k <= colours else 0
+            for k in range(1, r)
+        ]
+        extend((1 << len(row)) - 1, masks, pickable, r - 1)
     return count
 
 
-def connected_components(g: ExplicitGraph) -> int:
+def _components(g: ExplicitGraph):
+    """Yield the vertex list of each connected component (breadth first)."""
     seen = [False] * g.n
-    comps = 0
     for start in range(g.n):
         if seen[start]:
             continue
-        comps += 1
         seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        comp = [start]
+        for v in comp:
             for w in g.adj[v]:
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
-    return comps
+                    comp.append(w)
+        yield comp
+
+
+def connected_components(g: ExplicitGraph) -> int:
+    return sum(1 for _ in _components(g))
 
 
 def min_cut(g: ExplicitGraph) -> int:
-    """Global edge min-cut (Stoer-Wagner); 0 iff disconnected or trivial."""
+    """Global edge min cut (Nagamochi-Ibaraki); 0 iff disconnected or trivial.
+
+    Each phase scans the contracted multigraph once in maximum-adjacency
+    order.  The scanned prefixes are cuts, so they lower the bound
+    ``best`` (which starts at the minimum degree).  An edge (x, y) whose
+    scan value q (y's attachment to the prefix once the edge is counted)
+    reaches ``best`` has local connectivity >= q, so contracting it keeps
+    every cut below ``best``; the last vertex of a phase always qualifies,
+    so every phase contracts at least one edge.  When one vertex is left,
+    ``best`` is the min cut.
+    """
     if g.n < 2 or connected_components(g) > 1:
         return 0
-    weights: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
-    for u, v in g.edges():
-        weights[u][v] = weights[u].get(v, 0) + 1
-        weights[v][u] = weights[v].get(u, 0) + 1
-    active = list(range(g.n))
-    best = None
-    while len(active) > 1:
-        # maximum-adjacency order; the last vertex's attachment is a cut
-        start = active[0]
-        in_order = {start}
-        attach = dict(weights[start])
-        order = [start]
-        while len(order) < len(active):
-            nxt = max(
-                (v for v in active if v not in in_order),
-                key=lambda v: attach.get(v, 0),
-            )
-            order.append(nxt)
-            in_order.add(nxt)
-            for w, wt in weights[nxt].items():
-                if w not in in_order:
-                    attach[w] = attach.get(w, 0) + wt
-        s, t = order[-2], order[-1]
-        phase_cut = sum(weights[t].values())
-        if best is None or phase_cut < best:
-            best = phase_cut
-        # contract t into s
-        for w, wt in weights[t].items():
-            if w == s:
-                continue
-            weights[s][w] = weights[s].get(w, 0) + wt
-            weights[w][s] = weights[w].get(s, 0) + wt
-            del weights[w][t]
-        weights[s].pop(t, None)
-        del weights[t]
-        active.remove(t)
-    return best if best is not None else 0
+    adj: list[dict[int, int]] = [dict.fromkeys(row, 1) for row in g.adj]
+    best = g.m
+
+    def find(v: int) -> int:  # union-find root, with path halving
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    while len(adj) > 1:
+        n = len(adj)
+        # a contracted vertex's degree is a cut too, so best <= deg[t] for
+        # the vertex t left unscanned: its last edge reaches q = deg[t]
+        deg = [sum(row.values()) for row in adj]
+        best = min(best, min(deg))
+        parent = list(range(n))
+        attach = [0] * n
+        scanned = [False] * n
+        heap = [(0, 0)]
+        prefix_cut = 0
+        for _ in range(n - 1):
+            while True:
+                _, x = heapq.heappop(heap)
+                if not scanned[x]:
+                    break
+            scanned[x] = True
+            prefix_cut += deg[x] - 2 * attach[x]
+            if prefix_cut < best:
+                best = prefix_cut
+            for y, w in adj[x].items():
+                if scanned[y]:
+                    continue
+                q = attach[y] + w
+                attach[y] = q
+                heapq.heappush(heap, (-q, y))
+                if q >= best:
+                    parent[find(y)] = find(x)
+        label: dict[int, int] = {}
+        new_index = [label.setdefault(find(v), len(label)) for v in range(n)]
+        merged: list[dict[int, int]] = [{} for _ in label]
+        for v, row in enumerate(adj):
+            a = new_index[v]
+            target = merged[a]
+            for y, w in row.items():
+                b = new_index[y]
+                if a != b:
+                    target[b] = target.get(b, 0) + w
+        adj = merged
+    return best
 
 
 def moment(g: ExplicitGraph, s: int) -> int:
@@ -190,76 +272,103 @@ def densest_subgraph_bruteforce(g: ExplicitGraph, limit: int = 20) -> int:
     return best
 
 
+def _core_decomposition(g: ExplicitGraph) -> tuple[list[int], list[int], list[int]]:
+    """(peel order, rank in it, core number) of every vertex, by one
+    Matula-Beck bucket peel in O(n + m) (Batagelj-Zaversnik layout).
+
+    Core numbers never decrease along the peel order.  The result is kept
+    on the graph, so the peel runs once per graph.
+    """
+    if g._cores is not None:
+        return g._cores
+    n = g.n
+    core = g.degrees()
+    top = max(core, default=0)
+    start = [0] * (top + 1)  # start[d]: first slot of degree-d vertices
+    for d in core:
+        start[d] += 1
+    total = 0
+    for d in range(top + 1):
+        start[d], total = total, total + start[d]
+    order = [0] * n  # vertices bucket-sorted by degree
+    rank = [0] * n  # position of each vertex in order
+    fill = list(start)
+    for v, d in enumerate(core):
+        rank[v] = fill[d]
+        order[fill[d]] = v
+        fill[d] += 1
+    for i in range(n):
+        v = order[i]
+        cv = core[v]
+        for u in g.adj[v]:
+            cu = core[u]
+            if cu > cv:
+                # move u to the front of its bucket, then shrink the bucket
+                first = start[cu]
+                w = order[first]
+                if w != u:
+                    pu = rank[u]
+                    order[first], order[pu] = u, w
+                    rank[u], rank[w] = first, pu
+                start[cu] = first + 1
+                core[u] = cu - 1
+    g._cores = (order, rank, core)
+    return g._cores
+
+
 def degeneracy(g: ExplicitGraph) -> int:
-    """Max over the peeling order of the minimum remaining degree.  Upper
-    bounds arboricity: assigning each vertex's back-edges to slots yields a
-    partition of the edges into that many forests."""
-    degs = g.degrees()
-    heap = [(degs[v], v) for v in range(g.n)]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    best = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degs[v]:
-            continue
-        best = max(best, d)
-        removed[v] = True
-        for w in g.adj[v]:
-            if not removed[w]:
-                degs[w] -= 1
-                heapq.heappush(heap, (degs[w], w))
-    return best
+    """Largest core number: the max over the peeling order of the minimum
+    remaining degree.  Upper bounds arboricity: assigning each vertex's
+    back-edges to slots yields a partition of the edges into that many
+    forests."""
+    return max(_core_decomposition(g)[2], default=0)
 
 
 def _subgraph_density(n_s: int, m_s: int) -> int:
     return -(-m_s // (n_s - 1)) if n_s >= 2 and m_s else 0
 
 
+def k_core_sizes(g: ExplicitGraph) -> list[tuple[int, int]]:
+    """(vertices, edges) of the k-core for every k from 0 to the degeneracy.
+
+    The k-core is every vertex of core number >= k.  An edge lies in it iff
+    its endpoint peeled first does, and that endpoint has the smaller core
+    number, so one pass and a suffix sum give every size.
+    """
+    _, rank, core = _core_decomposition(g)
+    top = max(core, default=0)
+    vertices_at = [0] * (top + 1)
+    edges_at = [0] * (top + 1)
+    for v, row in enumerate(g.adj):
+        c, rv = core[v], rank[v]
+        vertices_at[c] += 1
+        for w in row:
+            if rank[w] > rv:
+                edges_at[c] += 1
+    sizes = []
+    n_k = m_k = 0
+    for k in range(top, -1, -1):
+        n_k += vertices_at[k]
+        m_k += edges_at[k]
+        sizes.append((n_k, m_k))
+    return sizes[::-1]
+
+
 def arboricity_bounds(g: ExplicitGraph) -> tuple[int, int]:
     """(lower, upper) witnesses for arboricity when exact enumeration is out
     of reach: lower from subgraph densities (whole graph, components,
     k-cores), upper from the degeneracy forest decomposition."""
-    if g.m == 0:
+    m = g.m
+    if m == 0:
         return 0, 0
-    lo = _subgraph_density(g.n, g.m)
-    # components
-    seen = [False] * g.n
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        m_c = sum(len(g.adj[v]) for v in comp) // 2
-        lo = max(lo, _subgraph_density(len(comp), m_c))
+    lo = _subgraph_density(g.n, m)  # >= 1
+    for comp in _components(g):
+        if len(comp) > 2:  # smaller components have density <= 1
+            m_c = sum(map(len, map(g.adj.__getitem__, comp))) // 2
+            lo = max(lo, _subgraph_density(len(comp), m_c))
     hi = degeneracy(g)
-    # k-cores for every k up to the degeneracy
-    for k in range(2, hi + 1):
-        degs = g.degrees()
-        alive = [True] * g.n
-        queue = deque(v for v in range(g.n) if degs[v] < k)
-        while queue:
-            v = queue.popleft()
-            if not alive[v]:
-                continue
-            alive[v] = False
-            for w in g.adj[v]:
-                if alive[w]:
-                    degs[w] -= 1
-                    if degs[w] < k:
-                        queue.append(w)
-        n_c = sum(alive)
-        if n_c >= 2:
-            m_c = sum(degs[v] for v in range(g.n) if alive[v]) // 2
-            lo = max(lo, _subgraph_density(n_c, m_c))
+    for n_k, m_k in k_core_sizes(g)[2:]:
+        lo = max(lo, _subgraph_density(n_k, m_k))
     return lo, hi
 
 
@@ -328,7 +437,8 @@ def verify_instance(
 
     When ``g`` is supplied (e.g. loaded from an edge-list file), the claims
     are checked against it and it is additionally compared with the
-    instance's own materialization, so any mutation shows up.
+    instance's own materialization, so any mutation shows up.  A graph
+    that fails ``valid_graph`` gets only those two reports.
     """
     reports = []
     if g is None:
@@ -346,6 +456,9 @@ def verify_instance(
     reports.append(
         _report("valid_graph", len(findings), "no invariant findings", not findings)
     )
+    if findings:
+        # the kernels below assume a simple, symmetric graph
+        return reports
     m = g.m
     overlap = inst.pp.overlap
     intersecting = inst.pp.intersecting

@@ -1,5 +1,6 @@
-"""Shared test utilities: independent query-comparison oracle and instance
-samplers used by both the unit tests and the acceptance suite."""
+"""Shared test utilities: independent query-comparison oracle, reference
+min cut and instance samplers used by both the unit tests and the
+acceptance suite."""
 
 from __future__ import annotations
 
@@ -7,13 +8,14 @@ import random
 
 from commgraph.embeddings import lazy_answer
 from commgraph.embeddings.base import Embedding
-from commgraph.graph import Degree, Neighbor, Pair, answer_on_explicit
+from commgraph.graph import Degree, ExplicitGraph, Neighbor, Pair, answer_on_explicit
 from commgraph.promises import (
     Disjoint,
     KIntersectOrDisjoint,
     UniqueIntersection,
     gen_promise_instance,
 )
+from commgraph.verify import connected_components
 
 
 def compare_all_queries(inst: Embedding) -> int:
@@ -51,6 +53,61 @@ def compare_all_queries(inst: Embedding) -> int:
                 assert a == b, (inst, u, v, a, b)
                 checked += 1
     return checked
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> ExplicitGraph:
+    """G(n, p): each pair joined independently with probability p."""
+    adj = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u].append(v)
+                adj[v].append(u)
+    return ExplicitGraph(n, adj)
+
+
+def stoer_wagner_min_cut(g: ExplicitGraph) -> int:
+    """Reference global edge min cut (Stoer-Wagner, O(n^3)); 0 iff the
+    graph is disconnected or has fewer than two vertices."""
+    if g.n < 2 or connected_components(g) > 1:
+        return 0
+    weights: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
+    for u, v in g.edges():
+        weights[u][v] = weights[u].get(v, 0) + 1
+        weights[v][u] = weights[v].get(u, 0) + 1
+    active = list(range(g.n))
+    best = None
+    while len(active) > 1:
+        # maximum-adjacency order; the last vertex's attachment is a cut
+        start = active[0]
+        in_order = {start}
+        attach = dict(weights[start])
+        order = [start]
+        while len(order) < len(active):
+            nxt = max(
+                (v for v in active if v not in in_order),
+                key=lambda v: attach.get(v, 0),
+            )
+            order.append(nxt)
+            in_order.add(nxt)
+            for w, wt in weights[nxt].items():
+                if w not in in_order:
+                    attach[w] = attach.get(w, 0) + wt
+        s, t = order[-2], order[-1]
+        phase_cut = sum(weights[t].values())
+        if best is None or phase_cut < best:
+            best = phase_cut
+        # contract t into s
+        for w, wt in weights[t].items():
+            if w == s:
+                continue
+            weights[s][w] = weights[s].get(w, 0) + wt
+            weights[w][s] = weights[w].get(s, 0) + wt
+            del weights[w][t]
+        weights[s].pop(t, None)
+        del weights[t]
+        active.remove(t)
+    return best if best is not None else 0
 
 
 def expand_runs(runs, n: int) -> list[int]:

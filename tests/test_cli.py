@@ -87,6 +87,33 @@ def test_verify_corrupted_edge_list_fails(tmp_path):
     assert any(not line["pass"] for line in lines)
 
 
+@pytest.mark.parametrize("kind_args", [
+    ["--kind", "triangle", "--l", "4", "--k", "2"],
+    ["--kind", "connectivity", "--k", "2", "--l", "4", "--n", "20"],
+    ["--kind", "moments-block", "--s", "2", "--alpha", "4", "--c", "4",
+     "--m-tilde", "257", "--n-side", "16"],
+], ids=["triangle", "connectivity", "moments-block"])
+def test_verify_out_of_range_neighbour_fails_cleanly(tmp_path, capsys, kind_args):
+    # an edge file naming a vertex past n fails valid_graph; the kernels,
+    # which assume a simple symmetric graph, never see it
+    out = tmp_path / "g.json"
+    assert run(["gen", *kind_args, "--seed", "1", "--side", "intersecting",
+                "--out", str(out)]) == 0
+    edges_path = tmp_path / "g.edges"
+    lines = edges_path.read_text().splitlines()
+    lines[1] += " 99999"
+    edges_path.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "r.jsonl"
+    capsys.readouterr()
+    assert run(["verify", "--instance", str(out), "--edges", str(edges_path),
+                "--out", str(report)]) == 1
+    rows = [json.loads(line) for line in report.read_text().splitlines()]
+    assert [(r["quantity"], r["pass"]) for r in rows] == [
+        ("edge_list_match", False), ("valid_graph", False),
+    ]
+    assert "FAIL valid_graph: value 1, claim no invariant findings\n" in capsys.readouterr().err
+
+
 def test_simulate_summary_and_transcripts(tmp_path, capsys):
     transcripts = tmp_path / "t.csv"
     code = run([

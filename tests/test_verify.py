@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commgraph.embeddings import ConnectivityEmbedding, ConnectivityParams
 from commgraph.families import (
     complete_bipartite_graph,
     complete_graph,
@@ -31,17 +33,7 @@ from commgraph.verify import (
     verify_instance,
 )
 
-from helpers import random_instance
-
-
-def random_graph(rng, n, p):
-    adj = [[] for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                adj[u].append(v)
-                adj[v].append(u)
-    return ExplicitGraph(n, adj)
+from helpers import random_graph, random_instance, stoer_wagner_min_cut
 
 
 # --- triangle / clique counting ----------------------------------------------
@@ -84,6 +76,21 @@ def test_clique_budget_refusal():
         count_r_cliques(g, 9, budget=1000)
 
 
+def test_complete_graph_clique_counts():
+    for n in range(1, 13):
+        for r in range(1, 9):
+            assert count_r_cliques(complete_graph(n), r) == comb(n, r)
+
+
+def test_clique_budget_counts_scanned_partial_cliques():
+    # K_5, r = 3: the roots 0, 1, 2 have >= 2 forward neighbours and are
+    # the only partial cliques whose candidates are scanned; they add
+    # 6, 3 and 1 triangles
+    assert count_r_cliques(complete_graph(5), 3, budget=3) == 10
+    with pytest.raises(VerifyBudgetExceeded, match=r"after counting 9$"):
+        count_r_cliques(complete_graph(5), 3, budget=2)
+
+
 # --- min cut ------------------------------------------------------------------
 
 
@@ -118,6 +125,65 @@ def test_min_cut_matches_bruteforce():
             continue
         tried += 1
         assert min_cut(g) == brute_force_min_cut(g), g.adj
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 40), st.floats(0.05, 1.0))
+def test_min_cut_matches_stoer_wagner(seed, n, p):
+    g = random_graph(random.Random(seed), n, p)
+    assert min_cut(g) == stoer_wagner_min_cut(g)
+
+
+def bridged_clusters(rng, n1, n2, bridges):
+    """Two random clusters joined by a few edges, vertices shuffled: their
+    min cut is often the bridges, below every degree."""
+    n = n1 + n2
+    p1, p2 = rng.random(), rng.random()
+    edges = {(u, v) for u in range(n1) for v in range(u + 1, n1) if rng.random() < p1}
+    edges |= {(u, v) for u in range(n1, n) for v in range(u + 1, n) if rng.random() < p2}
+    edges |= {(rng.randrange(n1), rng.randrange(n1, n)) for _ in range(bridges)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    adj = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        adj[perm[u]].append(perm[v])
+        adj[perm[v]].append(perm[u])
+    return ExplicitGraph(n, adj)
+
+
+def test_min_cut_matches_stoer_wagner_on_bridged_clusters():
+    rng = random.Random(1)
+    for _ in range(1500):
+        g = bridged_clusters(rng, rng.randint(3, 9), rng.randint(3, 9), rng.randint(1, 4))
+        assert min_cut(g) == stoer_wagner_min_cut(g), g.adj
+
+
+def connectivity_instance(k: int, l: int, seed: int, intersecting: bool):
+    params = ConnectivityParams(k=k, l=l)
+    while True:
+        pp = gen_promise_instance(l * l, KIntersectOrDisjoint(k), seed)
+        if pp.intersecting == intersecting:
+            return ConnectivityEmbedding(params, pp)
+        seed += 1
+
+
+@pytest.mark.parametrize("intersecting", [True, False])
+@pytest.mark.parametrize("k", [2, 6])
+def test_min_cut_matches_stoer_wagner_on_connectivity(k, intersecting):
+    for l in (2 * k, 2 * k + 3):
+        for seed in (1, 2):
+            g = connectivity_instance(k, l, seed, intersecting).materialize()
+            cut = min_cut(g)
+            assert cut == stoer_wagner_min_cut(g)
+            assert cut == (k if intersecting else 0)
+
+
+def test_connectivity_certifies_at_n_1000():
+    inst = connectivity_instance(6, 200, 7, True)
+    assert inst.n == 1000
+    reports = verify_instance(inst)
+    assert all(r.passed for r in reports)
+    assert [r.value for r in reports if r.quantity == "min_cut"] == [6]
 
 
 def test_min_cut_bounded_by_min_degree():
@@ -250,8 +316,6 @@ def test_gap_certification_random_instances(kind):
     while min(sides.values()) < 50 and guard < 2000:
         guard += 1
         inst = random_instance(kind, rng.getrandbits(64))
-        if kind == "r-clique" and inst.r >= 5 and inst.l >= 4:
-            continue  # keep exact clique counting fast
         sides[inst.pp.intersecting] += 1
         reports = verify_instance(inst)
         assert all(r.passed for r in reports), (kind, inst, [
