@@ -4,6 +4,9 @@ name to its construction; each class declares its own flags."""
 
 from __future__ import annotations
 
+import json
+from typing import Optional
+
 from ..bits import BitVec
 from ..promises import PromisePair, promise_from_json
 from .base import (
@@ -59,16 +62,49 @@ def instance_to_json(inst: Embedding) -> dict:
 
 
 def instance_from_json(obj: dict) -> Embedding:
-    kind = obj["kind"]
-    if kind not in EMBEDDING_CLASSES:
-        raise ParameterError(f"unknown embedding kind {kind!r}")
-    n_bits = obj["n_bits"]
-    pp = PromisePair(
-        BitVec.from_hex(obj["x"], n_bits),
-        BitVec.from_hex(obj["y"], n_bits),
-        promise_from_json(obj["promise"]),
-    )
-    return EMBEDDING_CLASSES[kind].from_params_json(obj["params"], pp, obj.get("seed"))
+    """Rebuild an instance from its JSON, which must be exactly what
+    ``instance_to_json`` writes for the rebuilt instance: a derived field
+    that disagrees with its recomputed value, a missing field or an unknown
+    key raises ``ParameterError`` naming the field.  ``seed`` may be left
+    out."""
+    try:
+        kind = obj["kind"]
+        if kind not in EMBEDDING_CLASSES:
+            raise ParameterError(f"unknown embedding kind {kind!r}")
+        n_bits = obj["n_bits"]
+        pp = PromisePair(
+            BitVec.from_hex(obj["x"], n_bits),
+            BitVec.from_hex(obj["y"], n_bits),
+            promise_from_json(obj["promise"]),
+        )
+        inst = EMBEDDING_CLASSES[kind].from_params_json(obj["params"], pp, obj.get("seed"))
+    except KeyError as exc:
+        raise ParameterError(f"instance JSON lacks field {exc.args[0]!r}") from None
+    rebuilt = json.loads(json.dumps(instance_to_json(inst)))
+    if "seed" not in obj:
+        del rebuilt["seed"]
+    problem = _json_mismatch(obj, rebuilt, "")
+    if problem:
+        raise ParameterError(f"instance JSON {problem}")
+    return inst
+
+
+def _json_mismatch(given, rebuilt, path: str) -> Optional[str]:
+    """The first difference between two JSON values, naming its field."""
+    if isinstance(given, dict) and isinstance(rebuilt, dict):
+        for key in sorted(given.keys() | rebuilt.keys()):
+            field = f"{path}{key}"
+            if key not in rebuilt:
+                return f"has unknown key {field!r}"
+            if key not in given:
+                return f"lacks field {field!r}"
+            problem = _json_mismatch(given[key], rebuilt[key], f"{field}.")
+            if problem:
+                return problem
+        return None
+    if json.dumps(given) != json.dumps(rebuilt):
+        return f"field {path[:-1]!r} is {given!r}, but its parameters give {rebuilt!r}"
+    return None
 
 
 __all__ = [

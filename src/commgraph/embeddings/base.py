@@ -4,8 +4,9 @@ Every construction answers queries lazily through one code path that
 reads the two-party inputs only via a ``joint(coord) -> 0/1`` callback
 returning x_c AND y_c.  The local oracle passes a direct reader; the
 two-party simulation passes an exchanging callback that charges bits.
-Materialization drives the same lazy neighbor rules, so neighbor
-orderings match position by position.
+Materialization reads whole rows through ``row_of``, whose default is
+the same lazy neighbor rule at every position, so neighbor orderings
+match position by position.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import os
 import random
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..graph import (
     ContractViolation,
@@ -148,6 +149,12 @@ class Embedding:
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:
         raise NotImplementedError
 
+    def row_of(self, v: int, joint: JointAccess) -> Sequence[int]:
+        """v's neighbors in order: by default the neighbor rule at positions
+        1..degree.  Constructions whose rows have a closed form override it."""
+        neighbor_of = self.neighbor_of
+        return [neighbor_of(v, i, joint) for i in range(1, self.degree_of(v, joint) + 1)]
+
     def input_free_degrees(self) -> list[tuple[int, int]]:
         """Degree table independent of the inputs, as ``(count, degree)``
         runs over vertices 0, 1, ... in order; vertices past the last run
@@ -216,12 +223,9 @@ class Embedding:
             raise MaterializationCapExceeded(
                 f"{m} edges exceeds cap {max_m}; instance is lazy-only"
             )
-        joint = self.direct_joint
-        adj = []
-        for v in range(self.n):
-            d = self.degree_of(v, joint)
-            adj.append([self.neighbor_of(v, i, joint) for i in range(1, d + 1)])
-        return ExplicitGraph(self.n, adj)
+        joint = (self.pp.x & self.pp.y).__getitem__
+        row_of = self.row_of
+        return ExplicitGraph(self.n, [row_of(v, joint) for v in range(self.n)])
 
     def gap_label(self) -> int:
         """The communication function's value, computed from the inputs."""

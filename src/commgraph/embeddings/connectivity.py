@@ -151,5 +151,5 @@ class ConnectivityEmbedding(GridEmbedding):
 
     @classmethod
     def from_params_json(cls, params: dict, pp: PromisePair, seed=None):
-        p = ConnectivityParams(k=params["k"], l=params["l"], n=params["n"])
+        p = ConnectivityParams(k=params["k"], l=params["l"], n=params["n"] - params["pad"])
         return cls(p, pp, seed)

@@ -10,13 +10,13 @@ single bit exchange settles them.
 Only degree queries are served lazily: answering a neighbor or pair
 query cheaply would require locating the hot block, which is exactly
 what the construction is hiding.  Materialization still produces the
-full graph for offline verification.
+full graph for offline verification, a closed-form range per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 from ..promises import PromisePair
 from .base import Embedding, JointAccess, ParameterError
@@ -72,23 +72,17 @@ class DegreeOnlyEmbedding(Embedding):
         j = v // self.k
         return (2 * self.n) // 3 if joint(j) else 0
 
-    def neighbor_of(self, v: int, i: int, joint: JointAccess) -> Optional[int]:
-        # Materialization path only; the oracle rejects neighbor queries.
+    def row_of(self, v: int, joint: JointAccess) -> Sequence[int]:
+        # Materialization only: the oracle answers degree queries alone.
         k, third, hot = self.k, self.third, self._hot
-        if hot is None:
-            if v < third:
-                return None
-            in_v = v < 2 * third
-            block = (v - (third if in_v else 2 * third)) // k
-            partner_base = (2 * third if in_v else third) + block * k
-            return partner_base + (i - 1) if i <= k else None
-        if v < third:
-            if v // k != hot:
-                return None
-            if i <= 2 * third:
-                return third + (i - 1)
-            return None
-        return hot * k + (i - 1) if i <= k else None
+        if v < third:  # U: the hot block is joined to all of V and W
+            return range(third, self.n) if hot is not None and v // k == hot else ()
+        if hot is not None:
+            return range(hot * k, hot * k + k)
+        in_v = v < 2 * third
+        block = (v - (third if in_v else 2 * third)) // k
+        partner_base = (2 * third if in_v else third) + block * k
+        return range(partner_base, partner_base + k)
 
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:
         u, v = (u, v) if u < v else (v, u)
@@ -114,4 +108,4 @@ class DegreeOnlyEmbedding(Embedding):
 
     @classmethod
     def from_params_json(cls, params: dict, pp: PromisePair, seed=None):
-        return cls(DegreeOnlyParams(n=params["n"], k=params["k"]), pp, seed)
+        return cls(DegreeOnlyParams(n=params["n"] - params["pad"], k=params["k"]), pp, seed)

@@ -14,7 +14,7 @@ perfect matching (m_tilde/2 edges, arboricity 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..families import MatchingGraph, base_graph_from_json, base_graph_to_json
 from ..graph import ExplicitGraph
@@ -115,6 +115,18 @@ class MomentsHidingEmbedding(Embedding):
             return None
         row = self.base.row(v - self.offset)
         return self.offset + row[i - 1] if i <= len(row) else None
+
+    def row_of(self, v: int, joint: JointAccess) -> Sequence[int]:
+        if v < self.block_span:
+            j, z = self._locate(v)
+            if not joint(j):
+                return ()
+            start = j * self.block_size
+            if z < self.p:
+                return range(start + self.p, start + self.block_size)
+            return range(start, start + self.p)
+        offset = self.offset
+        return [offset + w for w in self.base.row(v - offset)]
 
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:
         ub, vb = u < self.block_span, v < self.block_span

@@ -220,7 +220,7 @@ class RCliqueEmbedding(GridEmbedding):
             r=params["r"],
             l=params["l"],
             k=params["k"],
-            n=params["n"],
+            n=params["n"] - params["pad"],
             s_clique_budget=params.get("s_clique_budget"),
         )
         return cls(p, pp, seed)

@@ -16,7 +16,7 @@ degree and only the final neighbor lookup can touch an input bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..promises import PromisePair
 from .base import GridEmbedding, JointAccess, ParameterError
@@ -113,6 +113,22 @@ class TriangleEmbedding(GridEmbedding):
             return None
         return None
 
+    def row_of(self, v: int, joint: JointAccess) -> Sequence[int]:
+        """The neighbor rule's whole row: l grid bits pick the first l
+        neighbors, and A and B rows end with all of S."""
+        l, s = self.l, range(self.s0, self.c0)
+        if v >= self.s0:  # S: all of A, then all of B; padding: no edges
+            return [*range(l), *range(self.b0, self.bp0)] if v < self.c0 else ()
+        group, t = divmod(v, l)
+        if group == 0:  # a_t: grid row t picks b_j or a'_j
+            return [self.b0 + j if joint(t * l + j) else self.ap0 + j for j in range(l)] + list(s)
+        if group == 1:  # a'_t: grid column t picks b'_i or a_i
+            return [self.bp0 + i if joint(i * l + t) else i for i in range(l)]
+        if group == 2:  # b_t: grid column t picks a_i or b'_i
+            return [i if joint(i * l + t) else self.bp0 + i for i in range(l)] + list(s)
+        # b'_t: grid row t picks a'_j or b_j
+        return [self.ap0 + j if joint(t * l + j) else self.b0 + j for j in range(l)]
+
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:
         u, v = (u, v) if u < v else (v, u)
         ga, gb = self._group(u), self._group(v)
@@ -167,6 +183,9 @@ class TriangleEmbedding(GridEmbedding):
     @classmethod
     def from_params_json(cls, params: dict, pp: PromisePair, seed=None):
         p = TriangleParams(
-            l=params["l"], k=params["k"], n=params["n"], s_size=params["s_size"]
+            l=params["l"],
+            k=params["k"],
+            n=params["n"] - params["pad"],
+            s_size=params["s_size"],
         )
         return cls(p, pp, seed)

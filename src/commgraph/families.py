@@ -101,20 +101,24 @@ def star_graph(leaves: int) -> ExplicitGraph:
     return ExplicitGraph(leaves + 1, adj)
 
 
+# family kind -> (its descriptor's fields, builder from the descriptor)
 FAMILY_BUILDERS = {
-    "lex": lambda desc: lex_graph(desc["n"], desc["m"]),
-    "matching": lambda desc: MatchingGraph(desc["pairs"]),
-    "path": lambda desc: path_graph(desc["n"]),
+    "explicit": (("n", "adj"), lambda desc: ExplicitGraph(desc["n"], desc["adj"])),
+    "lex": (("n", "m"), lambda desc: lex_graph(desc["n"], desc["m"])),
+    "matching": (("pairs",), lambda desc: MatchingGraph(desc["pairs"])),
+    "path": (("n",), lambda desc: path_graph(desc["n"])),
 }
 
 
 def base_graph_from_json(desc: dict) -> ExplicitGraph | MatchingGraph:
     kind = desc["kind"]
-    if kind == "explicit":
-        return ExplicitGraph(desc["n"], desc["adj"])
-    if kind in FAMILY_BUILDERS:
-        return FAMILY_BUILDERS[kind](desc)
-    raise ValueError(f"unknown base graph family {kind!r}")
+    if kind not in FAMILY_BUILDERS:
+        raise ValueError(f"unknown base graph family {kind!r}")
+    fields, build = FAMILY_BUILDERS[kind]
+    unknown = sorted(desc.keys() - {"kind", *fields})
+    if unknown:
+        raise ValueError(f"base graph family {kind!r} has unknown key {unknown[0]!r}")
+    return build(desc)
 
 
 def base_graph_to_json(g: ExplicitGraph, family: dict | None) -> dict:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import bisect
 import random
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 
@@ -97,21 +99,25 @@ def check_query(q: Query, n: int) -> None:
 
 
 class ExplicitGraph:
-    """Materialized simple undirected graph with explicit neighbor orderings."""
+    """Materialized simple undirected graph with explicit neighbor orderings.
+
+    The per-row neighbor sets are built on first use: only ``has_edge`` and
+    ``validate_graph`` read them."""
 
     def __init__(self, n: int, adjacency: Sequence[Sequence[int]]):
         if len(adjacency) != n:
             raise ValueError(f"adjacency has {len(adjacency)} rows for n={n}")
         self.n = n
         self.adj: list[tuple[int, ...]] = [tuple(row) for row in adjacency]
-        self._sets = [frozenset(row) for row in self.adj]
+        self.m = sum(map(len, self.adj)) // 2
         self._edges: Optional[list[tuple[int, int]]] = None
         # (peel order, rank, core numbers), filled once by the verifiers
         self._cores: Optional[tuple[list[int], list[int], list[int]]] = None
 
-    @property
-    def m(self) -> int:
-        return sum(len(row) for row in self.adj) // 2
+    @cached_property
+    def row_sets(self) -> list[frozenset[int]]:
+        """Each row's neighbors as a set."""
+        return list(map(frozenset, self.adj))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -121,7 +127,7 @@ class ExplicitGraph:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        return v in self.row_sets[u]
 
     def degrees(self) -> list[int]:
         return [len(row) for row in self.adj]
@@ -184,7 +190,13 @@ def answer_on_explicit(
 
 
 def validate_graph(g: ExplicitGraph) -> list[str]:
-    """Report every violated invariant; empty list iff the graph is valid."""
+    """Report every violated invariant; empty list iff the graph is valid.
+
+    A valid graph is confirmed in bulk; only a graph with a finding is
+    walked neighbor by neighbor to report each one."""
+    if _valid_in_bulk(g):
+        return []
+    sets = g.row_sets
     findings = []
     for v in range(g.n):
         seen = set()
@@ -198,9 +210,24 @@ def validate_graph(g: ExplicitGraph) -> list[str]:
                 findings.append(f"vertex {v}: duplicate neighbor {w}")
             seen.add(w)
         for w in seen:
-            if 0 <= w < g.n and w != v and v not in g._sets[w]:
+            if 0 <= w < g.n and w != v and v not in sets[w]:
                 findings.append(f"asymmetry: {v} lists {w} but not conversely")
     return findings
+
+
+def _valid_in_bulk(g: ExplicitGraph) -> bool:
+    """Every neighbor in range, no self-loop, no duplicate in a row, and
+    every listed edge listed back, checked with no per-edge Python code."""
+    n, sets = g.n, g.row_sets
+    flat = list(chain.from_iterable(g.adj))
+    if flat and (min(flat) < 0 or max(flat) >= n):
+        return False
+    owners = chain.from_iterable(map(repeat, range(n), map(len, g.adj)))
+    return (
+        sum(map(len, sets)) == len(flat)
+        and not any(map(frozenset.__contains__, sets, range(n)))
+        and all(map(frozenset.__contains__, map(sets.__getitem__, flat), owners))
+    )
 
 
 def sample_edge_by_degrees(
@@ -236,9 +263,7 @@ def sample_edge_by_degrees(
 def dump_edge_list(g: ExplicitGraph) -> str:
     """Text form: header 'n <count>', then 'v: w1 w2 ... wd' per vertex."""
     lines = [f"n {g.n}"]
-    for v in range(g.n):
-        row = " ".join(str(w) for w in g.adj[v])
-        lines.append(f"{v}: {row}" if row else f"{v}:")
+    lines += [f"{v}: {' '.join(map(str, row))}" if row else f"{v}:" for v, row in enumerate(g.adj)]
     return "\n".join(lines) + "\n"
 
 
@@ -251,11 +276,10 @@ def load_edge_list(text: str) -> ExplicitGraph:
         raise ValueError(f"expected {n} vertex lines, found {len(lines) - 1}")
     adj = []
     for v, line in enumerate(lines[1:]):
-        prefix = f"{v}:"
-        if not line.startswith(prefix):
-            raise ValueError(f"line {v + 2}: expected prefix '{prefix}'")
-        rest = line[len(prefix):].strip()
-        adj.append([int(tok) for tok in rest.split()] if rest else [])
+        head, colon, rest = line.partition(":")
+        if not colon or head != str(v):
+            raise ValueError(f"line {v + 2}: expected prefix '{v}:'")
+        adj.append(tuple(map(int, rest.split())))
     return ExplicitGraph(n, adj)
 
 

@@ -1,6 +1,6 @@
 """Shared test utilities: independent query-comparison oracle, reference
-min cut and instance samplers used by both the unit tests and the
-acceptance suite."""
+materialization, validation and min cut, and instance samplers used by
+both the unit tests and the acceptance suite."""
 
 from __future__ import annotations
 
@@ -16,6 +16,21 @@ from commgraph.promises import (
     gen_promise_instance,
 )
 from commgraph.verify import connected_components
+
+
+# CLI flags of one small instance per kind; the grid and degree-only kinds
+# are padded up to their minimum vertex count.
+SMALL_KIND_FLAGS = {
+    "clique-hiding": ["--l", "3", "--blocks", "4", "--augment-connect"],
+    "triangle": ["--l", "3", "--k", "1", "--n", "10"],
+    "r-clique": ["--r", "4", "--l", "3", "--k", "1", "--n", "12"],
+    "connectivity": ["--k", "1", "--l", "3", "--n", "9"],
+    "degree-only": ["--n", "10", "--k", "2"],
+    "moments-hiding": ["--s", "2", "--alpha", "2", "--c", "1", "--m-tilde", "16",
+                       "--blocks", "3"],
+    "moments-block": ["--s", "2", "--alpha", "4", "--c", "4", "--m-tilde", "257",
+                      "--n-side", "16"],
+}
 
 
 def compare_all_queries(inst: Embedding) -> int:
@@ -53,6 +68,64 @@ def compare_all_queries(inst: Embedding) -> int:
                 assert a == b, (inst, u, v, a, b)
                 checked += 1
     return checked
+
+
+def materialize_by_position(inst: Embedding) -> ExplicitGraph:
+    """Reference materialization: the lazy degree and neighbor rules read
+    one position at a time, with a direct bit read per coordinate.
+    Degree-only answers no neighbor queries, so its rows come from
+    ``degree_only_neighbor``."""
+    joint = inst.direct_joint
+    if inst.kind == "degree-only":
+        neighbor_of = lambda v, i, _: degree_only_neighbor(inst, v, i)  # noqa: E731
+    else:
+        neighbor_of = inst.neighbor_of
+    adj = []
+    for v in range(inst.n):
+        d = inst.degree_of(v, joint)
+        adj.append([neighbor_of(v, i, joint) for i in range(1, d + 1)])
+    return ExplicitGraph(inst.n, adj)
+
+
+def degree_only_neighbor(inst, v: int, i: int):
+    """The i-th neighbor of v in a degree-only instance, position by
+    position: V_b and W_b are completely joined when no block is hot,
+    otherwise the hot block U_j is joined to all of V and W."""
+    k, third, hot = inst.k, inst.third, inst._hot
+    if hot is None:
+        if v < third:
+            return None
+        in_v = v < 2 * third
+        block = (v - (third if in_v else 2 * third)) // k
+        partner_base = (2 * third if in_v else third) + block * k
+        return partner_base + (i - 1) if i <= k else None
+    if v < third:
+        if v // k != hot:
+            return None
+        if i <= 2 * third:
+            return third + (i - 1)
+        return None
+    return hot * k + (i - 1) if i <= k else None
+
+
+def validate_by_neighbor(g: ExplicitGraph) -> list[str]:
+    """Reference graph validation: every neighbor of every row in turn."""
+    findings = []
+    for v in range(g.n):
+        seen = set()
+        for w in g.adj[v]:
+            if not 0 <= w < g.n:
+                findings.append(f"vertex {v}: neighbor {w} out of range")
+                continue
+            if w == v:
+                findings.append(f"vertex {v}: self-loop")
+            if w in seen:
+                findings.append(f"vertex {v}: duplicate neighbor {w}")
+            seen.add(w)
+        for w in seen:
+            if 0 <= w < g.n and w != v and v not in set(g.adj[w]):
+                findings.append(f"asymmetry: {v} lists {w} but not conversely")
+    return findings
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> ExplicitGraph:

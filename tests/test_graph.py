@@ -24,6 +24,8 @@ from commgraph.graph import (
 )
 from commgraph.verify import empirical_distribution, tvd, uniform_distribution
 
+from helpers import random_instance, validate_by_neighbor
+
 TRIANGLE = ExplicitGraph(3, [[1, 2], [0, 2], [0, 1]])
 PATH3 = ExplicitGraph(3, [[1], [0, 2], [1]])
 
@@ -71,6 +73,44 @@ def test_validate_graph_findings():
     assert any("self-loop" in f for f in validate_graph(loop))
     dup = ExplicitGraph(2, [[1, 1], [0, 0]])
     assert sum("duplicate" in f for f in validate_graph(dup)) == 2
+
+
+def _mutate(adj: list, mutation: str, rng: random.Random) -> None:
+    n = len(adj)
+    v = rng.choice([u for u in range(n) if adj[u]] or [0])
+    if mutation == "out-of-range":
+        adj[v].insert(rng.randint(0, len(adj[v])), rng.choice([-1, n, n + 5]))
+    elif mutation == "self-loop":
+        adj[v].insert(rng.randint(0, len(adj[v])), v)
+    elif mutation == "duplicate" and adj[v]:
+        adj[v].insert(rng.randint(0, len(adj[v])), rng.choice(adj[v]))
+    elif mutation == "asymmetry" and adj[v]:
+        w = rng.choice(adj[v])
+        if v in adj[w]:  # never restore an edge an earlier mutation cut
+            adj[v].remove(w)
+    else:  # an edgeless graph: list an edge one way only
+        adj[0].append(n - 1 if n > 1 else 0)
+
+
+@pytest.mark.parametrize("mutation", ["out-of-range", "self-loop", "duplicate", "asymmetry"])
+def test_validate_graph_reports_the_reference_findings(mutation):
+    """On valid graphs the bulk check finds nothing; on each kind of broken
+    graph the findings equal the neighbor-by-neighbor reference word for
+    word, in order."""
+    rng = random.Random(sum(map(ord, mutation)))
+    kinds = ["clique-hiding", "triangle", "r-clique", "connectivity", "degree-only",
+             "moments-hiding", "moments-block"]
+    for kind in kinds:
+        for _ in range(4):
+            g = random_instance(kind, rng.getrandbits(64)).materialize()
+            assert validate_graph(g) == validate_by_neighbor(g) == []
+            adj = [list(row) for row in g.adj]
+            for _ in range(rng.randint(1, 3)):
+                _mutate(adj, mutation, rng)
+            broken = ExplicitGraph(g.n, adj)
+            findings = validate_graph(broken)
+            assert findings, (kind, mutation)
+            assert findings == validate_by_neighbor(broken), (kind, mutation)
 
 
 # --- degree-proportional edge sampling ------------------------------------
