@@ -48,10 +48,6 @@ class BitVec:
         return vec
 
     @classmethod
-    def from_string(cls, s: str) -> "BitVec":
-        return cls.from_bits(int(ch) for ch in s)
-
-    @classmethod
     def from_hex(cls, s: str, n: int) -> "BitVec":
         nibbles = (n + 3) // 4
         if len(s) != nibbles:

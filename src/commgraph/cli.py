@@ -2,7 +2,8 @@
 
 Every command is a pure function of its flags plus the seed; outputs are
 byte-reproducible.  Exit codes: 0 success, 1 verification failure,
-2 configuration or parameter error, or a refusal (``refused: ...``).
+2 configuration or parameter error, a file that cannot be read or
+written, or a refusal (``refused: ...``).
 """
 
 from __future__ import annotations
@@ -123,14 +124,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .graph import load_edge_list
     from .verify import VerifyBudgetExceeded, verify_instance
 
     obj = json.loads(Path(args.instance).read_text())
     inst = instance_from_json(obj)
-    g = load_edge_list(Path(args.edges).read_text()) if args.edges else None
+    edges = Path(args.edges).read_text() if args.edges else None
     try:
-        reports = verify_instance(inst, g)
+        reports = verify_instance(inst, edges)
     except (MaterializationCapExceeded, VerifyBudgetExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, ValueError) as exc:
+    except (ConfigError, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,7 @@ name to its construction; each class declares its own flags."""
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional
 
 from ..bits import BitVec
@@ -61,12 +62,61 @@ def instance_to_json(inst: Embedding) -> dict:
     }
 
 
+# The JSON type of every instance field that ``instance_to_json`` does not
+# write as an integer; "[]" stands for any entry of a list.
+_JSON_TYPES = {
+    "": dict,
+    "kind": str,
+    "x": str,
+    "y": str,
+    "seed": (int, type(None)),
+    "promise": dict,
+    "promise.kind": str,
+    "params": dict,
+    "params.active_sizes": list,
+    "params.augment_connect": bool,
+    "params.base": dict,
+    "params.base.adj": list,
+    "params.base.adj[]": list,
+    "params.base.kind": str,
+    "params.case": str,
+    "params.s_clique_budget": (int, type(None)),
+}
+
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number", type(None): "null"}
+
+
+def _type_mismatch(value, path: str) -> Optional[str]:
+    """The first field, ``value`` or inside it, whose JSON type is not the
+    one ``instance_to_json`` writes there."""
+    want = _JSON_TYPES.get(re.sub(r"\[\d+\]", "[]", path), int)
+    if not isinstance(value, want):
+        wanted = " or ".join(_TYPE_NAMES[t] for t in (want if isinstance(want, tuple) else (want,)))
+        where = f"field {path!r}" if path else "top level"
+        return f"{where} must be {wanted}, not {_TYPE_NAMES.get(type(value), type(value).__name__)}"
+    if isinstance(value, dict):
+        entries = ((f"{path}.{key}" if path else key, entry) for key, entry in value.items())
+    elif isinstance(value, list):
+        entries = ((f"{path}[{i}]", entry) for i, entry in enumerate(value))
+    else:
+        return None
+    for field, entry in entries:
+        problem = _type_mismatch(entry, field)
+        if problem:
+            return problem
+    return None
+
+
 def instance_from_json(obj: dict) -> Embedding:
     """Rebuild an instance from its JSON, which must be exactly what
-    ``instance_to_json`` writes for the rebuilt instance: a derived field
-    that disagrees with its recomputed value, a missing field or an unknown
-    key raises ``ParameterError`` naming the field.  ``seed`` may be left
-    out."""
+    ``instance_to_json`` writes for the rebuilt instance: a field of the
+    wrong JSON type, a derived field that disagrees with its recomputed
+    value, a missing field or an unknown key raises ``ParameterError``
+    naming the field.  ``seed`` may be left out."""
+    problem = _type_mismatch(obj, "")
+    if problem:
+        raise ParameterError(f"instance JSON {problem}")
     try:
         kind = obj["kind"]
         if kind not in EMBEDDING_CLASSES:

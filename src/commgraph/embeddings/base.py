@@ -4,9 +4,9 @@ Every construction answers queries lazily through one code path that
 reads the two-party inputs only via a ``joint(coord) -> 0/1`` callback
 returning x_c AND y_c.  The local oracle passes a direct reader; the
 two-party simulation passes an exchanging callback that charges bits.
-Materialization reads whole rows through ``row_of``, whose default is
-the same lazy neighbor rule at every position, so neighbor orderings
-match position by position.
+Materialization reads whole rows through ``rows``, by default one
+``row_of`` per vertex, whose default is the same lazy neighbor rule at
+every position, so neighbor orderings match position by position.
 """
 
 from __future__ import annotations
@@ -155,6 +155,12 @@ class Embedding:
         neighbor_of = self.neighbor_of
         return [neighbor_of(v, i, joint) for i in range(1, self.degree_of(v, joint) + 1)]
 
+    def rows(self, joint: JointAccess) -> list[Sequence[int]]:
+        """Every vertex's neighbors in order: by default ``row_of`` of each
+        vertex.  Constructions whose rows repeat in bulk override it."""
+        row_of = self.row_of
+        return [row_of(v, joint) for v in range(self.n)]
+
     def input_free_degrees(self) -> list[tuple[int, int]]:
         """Degree table independent of the inputs, as ``(count, degree)``
         runs over vertices 0, 1, ... in order; vertices past the last run
@@ -223,9 +229,7 @@ class Embedding:
             raise MaterializationCapExceeded(
                 f"{m} edges exceeds cap {max_m}; instance is lazy-only"
             )
-        joint = (self.pp.x & self.pp.y).__getitem__
-        row_of = self.row_of
-        return ExplicitGraph(self.n, [row_of(v, joint) for v in range(self.n)])
+        return ExplicitGraph(self.n, self.rows((self.pp.x & self.pp.y).__getitem__))
 
     def gap_label(self) -> int:
         """The communication function's value, computed from the inputs."""

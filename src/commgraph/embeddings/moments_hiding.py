@@ -116,17 +116,19 @@ class MomentsHidingEmbedding(Embedding):
         row = self.base.row(v - self.offset)
         return self.offset + row[i - 1] if i <= len(row) else None
 
-    def row_of(self, v: int, joint: JointAccess) -> Sequence[int]:
-        if v < self.block_span:
-            j, z = self._locate(v)
-            if not joint(j):
-                return ()
-            start = j * self.block_size
-            if z < self.p:
-                return range(start + self.p, start + self.block_size)
-            return range(start, start + self.p)
-        offset = self.offset
-        return [offset + w for w in self.base.row(v - offset)]
+    def rows(self, joint: JointAccess) -> list[Sequence[int]]:
+        # an active block's p rows share one tuple, as do its alpha rows
+        p, size = self.p, self.block_size
+        rows: list[Sequence[int]] = []
+        for j in range(self.blocks):
+            start = j * size
+            if joint(j):
+                rows += [tuple(range(start + p, start + size))] * p
+                rows += [tuple(range(start, start + p))] * self.alpha
+            else:
+                rows += [()] * size
+        rows += self.base.shifted_rows(self.offset)
+        return rows
 
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:
         ub, vb = u < self.block_span, v < self.block_span

@@ -278,7 +278,7 @@ def distinguisher_by_name(name: str) -> Distinguisher:
 
 
 # ---------------------------------------------------------------------------
-# amplifier and approximation checking
+# sampling amplifier
 
 
 def edge_sampling_amplifier(
@@ -294,30 +294,6 @@ def edge_sampling_amplifier(
         if in_hidden_region(u) and in_hidden_region(v):
             return 0
     return 1
-
-
-def approx_checker(
-    estimator: Callable[[random.Random], float],
-    truth: float,
-    epsilon: float,
-    trials: int,
-    seed: int,
-) -> tuple[float, bool]:
-    """Empirical check of a (1 +/- epsilon) approximation at the standard 2/3
-    success level, with binomial slack at 95% confidence."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if trials < 30:
-        raise ValueError("need at least 30 trials")
-    rng = random.Random(derive_seed(seed))
-    hits = 0
-    for _ in range(trials):
-        est = estimator(random.Random(rng.getrandbits(64)))
-        if abs(est - truth) <= epsilon * truth:
-            hits += 1
-    rate = hits / trials
-    slack = 1.96 * math.sqrt((2.0 / 9.0) / trials)
-    return rate, rate >= 2.0 / 3.0 - slack
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Used by builders and the CLI whenever a construction needs an arbitrary
 but reproducible base graph.  Neighbor orderings are ascending by id.
 A construction reads its base graph through ``n``, ``m``, ``degree``,
-``row``, ``has_edge`` and ``moment`` only, so a family that answers these
-by formula (``MatchingGraph``) never materializes.
+``row``, ``shifted_rows``, ``has_edge`` and ``moment`` only, so a family
+that answers these by formula (``MatchingGraph``) never materializes.
 """
 
 from __future__ import annotations
@@ -30,17 +30,9 @@ def lex_graph(n: int, m: int) -> ExplicitGraph:
     return ExplicitGraph(n, [sorted(row) for row in adj])
 
 
-def matching_graph(pairs: int) -> ExplicitGraph:
-    """A perfect matching on 2*pairs vertices: edges (0,1), (2,3), ..."""
-    adj = []
-    for v in range(2 * pairs):
-        adj.append([v + 1] if v % 2 == 0 else [v - 1])
-    return ExplicitGraph(2 * pairs, adj)
-
-
 class MatchingGraph:
-    """The perfect matching of ``matching_graph(pairs)``, answered by
-    formula: vertex v's one neighbor is v XOR 1."""
+    """The perfect matching on 2*pairs vertices, edges (0,1), (2,3), ...,
+    answered by formula: vertex v's one neighbor is v XOR 1."""
 
     def __init__(self, pairs: int):
         if not isinstance(pairs, int) or pairs < 0:
@@ -54,6 +46,10 @@ class MatchingGraph:
 
     def row(self, v: int) -> tuple[int]:
         return (v ^ 1,)
+
+    def shifted_rows(self, offset: int) -> list[tuple[int]]:
+        """Every vertex's neighbor, plus ``offset``."""
+        return [(offset + (v ^ 1),) for v in range(self.n)]
 
     def has_edge(self, u: int, v: int) -> bool:
         return u ^ 1 == v
@@ -75,30 +71,6 @@ def path_graph(n: int) -> ExplicitGraph:
             row.append(v + 1)
         adj.append(row)
     return ExplicitGraph(n, adj)
-
-
-def complete_graph(n: int) -> ExplicitGraph:
-    return lex_graph(n, n * (n - 1) // 2)
-
-
-def complete_bipartite_graph(a: int, b: int) -> ExplicitGraph:
-    """K_{a,b}: side one is vertices [0, a), side two is [a, a+b)."""
-    adj = [[a + j for j in range(b)] for _ in range(a)]
-    adj += [list(range(a)) for _ in range(b)]
-    return ExplicitGraph(a + b, adj)
-
-
-def cycle_graph(n: int) -> ExplicitGraph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    adj = [sorted(((v - 1) % n, (v + 1) % n)) for v in range(n)]
-    return ExplicitGraph(n, adj)
-
-
-def star_graph(leaves: int) -> ExplicitGraph:
-    """K_{1,leaves} with the center at vertex 0."""
-    adj = [list(range(1, leaves + 1))] + [[0] for _ in range(leaves)]
-    return ExplicitGraph(leaves + 1, adj)
 
 
 # family kind -> (its descriptor's fields, builder from the descriptor)

@@ -126,6 +126,11 @@ class ExplicitGraph:
         """v's neighbors in order."""
         return self.adj[v]
 
+    def shifted_rows(self, offset: int) -> list[tuple[int, ...]]:
+        """Every vertex's neighbors in order, each id plus ``offset``."""
+        shift = offset.__add__
+        return [tuple(map(shift, row)) for row in self.adj]
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.row_sets[u]
 
@@ -143,15 +148,6 @@ class ExplicitGraph:
                 (v, w) for v in range(self.n) for w in self.adj[v] if v < w
             )
         return self._edges
-
-    def induced_subgraph(self, vertices: Sequence[int]) -> "ExplicitGraph":
-        """Induced subgraph, vertices relabeled 0..k-1 in the given order."""
-        index = {v: i for i, v in enumerate(vertices)}
-        adj = [
-            [index[w] for w in self.adj[v] if w in index]
-            for v in vertices
-        ]
-        return ExplicitGraph(len(vertices), adj)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -260,10 +256,24 @@ def sample_edge_by_degrees(
     return (v, w) if v < w else (w, v)
 
 
+class _IdNames(dict):
+    """Vertex id -> decimal name; an id outside the table prints as ``str``
+    prints it."""
+
+    def __missing__(self, w: int) -> str:
+        return str(w)
+
+
 def dump_edge_list(g: ExplicitGraph) -> str:
-    """Text form: header 'n <count>', then 'v: w1 w2 ... wd' per vertex."""
+    """Text form: header 'n <count>', then 'v: w1 w2 ... wd' per vertex.
+
+    Each id in [0, n) is formatted once; row heads and neighbor tokens both
+    come from that table."""
+    names = list(map(str, range(g.n)))
+    name = _IdNames(enumerate(names)).__getitem__
+    join = " ".join
     lines = [f"n {g.n}"]
-    lines += [f"{v}: {' '.join(map(str, row))}" if row else f"{v}:" for v, row in enumerate(g.adj)]
+    lines += [f"{head}: {join(map(name, row))}" if row else f"{head}:" for head, row in zip(names, g.adj)]
     return "\n".join(lines) + "\n"
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .embeddings.base import Embedding
-from .graph import ExplicitGraph, validate_graph
+from .embeddings.base import Embedding, MaterializationCapExceeded
+from .graph import ExplicitGraph, dump_edge_list, load_edge_list, validate_graph
 
 
 class VerifyBudgetExceeded(RuntimeError):
@@ -403,25 +403,6 @@ def check_alpha_bounds(
     return VerificationReport("alpha_bounds", (lo, hi), claim + " (witness interval)", ok)
 
 
-def tvd(p: dict, q: dict) -> Fraction:
-    """Total variation distance between two distributions on the same keys."""
-    if set(p) != set(q):
-        raise ValueError("distributions have mismatched universes")
-    total = Fraction(0)
-    for key, pv in p.items():
-        total += abs(Fraction(pv) - Fraction(q[key]))
-    return total / 2
-
-
-def empirical_distribution(counts: dict, total: int) -> dict:
-    return {k: Fraction(c, total) for k, c in counts.items()}
-
-
-def uniform_distribution(keys) -> dict:
-    keys = list(keys)
-    return {k: Fraction(1, len(keys)) for k in keys}
-
-
 # ---------------------------------------------------------------------------
 # per-construction gap certification
 
@@ -431,25 +412,35 @@ def _report(quantity: str, value: Value, claim: str, passed: bool) -> Verificati
 
 
 def verify_instance(
-    inst: Embedding, g: Optional[ExplicitGraph] = None
+    inst: Embedding, g: Optional[Union[ExplicitGraph, str]] = None
 ) -> list[VerificationReport]:
     """Run the gap-claim verifier suite for one materializable instance.
 
-    When ``g`` is supplied (e.g. loaded from an edge-list file), the claims
-    are checked against it and it is additionally compared with the
-    instance's own materialization, so any mutation shows up.  A graph
-    that fails ``valid_graph`` gets only those two reports.
+    When ``g`` is supplied, as a graph or as the text of an edge-list file,
+    the claims are checked against it and it is additionally compared with
+    the instance's own materialization, so any mutation shows up.  Text
+    that equals the materialization's ``dump_edge_list`` is not parsed: the
+    claims run on the materialization itself.  A graph that fails
+    ``valid_graph`` gets only those two reports.
     """
     reports = []
     if g is None:
         g = inst.materialize()
     else:
+        try:
+            mine = inst.materialize()
+        except MaterializationCapExceeded:
+            if isinstance(g, str):
+                load_edge_list(g)  # a malformed file is an error before a refusal
+            raise
+        if isinstance(g, str):
+            g = mine if g == dump_edge_list(mine) else load_edge_list(g)
         reports.append(
             _report(
                 "edge_list_match",
                 g.m,
                 "supplied graph equals the instance's materialization",
-                g == inst.materialize(),
+                g == mine,
             )
         )
     findings = validate_graph(g)

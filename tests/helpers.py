@@ -1,13 +1,19 @@
 """Shared test utilities: independent query-comparison oracle, reference
-materialization, validation and min cut, and instance samplers used by
-both the unit tests and the acceptance suite."""
+materialization, validation, min cut and edge-list writer, small named
+graphs, distribution distances, and instance samplers used by both the
+unit tests and the acceptance suite."""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
+from typing import Callable, Sequence
 
+from commgraph.bits import BitVec
 from commgraph.embeddings import lazy_answer
 from commgraph.embeddings.base import Embedding
+from commgraph.families import lex_graph
 from commgraph.graph import Degree, ExplicitGraph, Neighbor, Pair, answer_on_explicit
 from commgraph.promises import (
     Disjoint,
@@ -15,6 +21,7 @@ from commgraph.promises import (
     UniqueIntersection,
     gen_promise_instance,
 )
+from commgraph.rng import derive_seed
 from commgraph.verify import connected_components
 
 
@@ -126,6 +133,101 @@ def validate_by_neighbor(g: ExplicitGraph) -> list[str]:
             if 0 <= w < g.n and w != v and v not in set(g.adj[w]):
                 findings.append(f"asymmetry: {v} lists {w} but not conversely")
     return findings
+
+
+def dump_by_str(g: ExplicitGraph) -> str:
+    """Reference edge-list writer: every id formatted by ``str`` where it
+    is written."""
+    lines = [f"n {g.n}"]
+    lines += [f"{v}: {' '.join(map(str, row))}" if row else f"{v}:" for v, row in enumerate(g.adj)]
+    return "\n".join(lines) + "\n"
+
+
+def bits_from_string(s: str) -> BitVec:
+    """The bit vector written as a string of 0s and 1s."""
+    return BitVec.from_bits(int(ch) for ch in s)
+
+
+def induced_subgraph(g: ExplicitGraph, vertices: Sequence[int]) -> ExplicitGraph:
+    """Induced subgraph, vertices relabeled 0..k-1 in the given order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [[index[w] for w in g.adj[v] if w in index] for v in vertices]
+    return ExplicitGraph(len(vertices), adj)
+
+
+def matching_graph(pairs: int) -> ExplicitGraph:
+    """A perfect matching on 2*pairs vertices: edges (0,1), (2,3), ..."""
+    adj = []
+    for v in range(2 * pairs):
+        adj.append([v + 1] if v % 2 == 0 else [v - 1])
+    return ExplicitGraph(2 * pairs, adj)
+
+
+def complete_graph(n: int) -> ExplicitGraph:
+    return lex_graph(n, n * (n - 1) // 2)
+
+
+def complete_bipartite_graph(a: int, b: int) -> ExplicitGraph:
+    """K_{a,b}: side one is vertices [0, a), side two is [a, a+b)."""
+    adj = [[a + j for j in range(b)] for _ in range(a)]
+    adj += [list(range(a)) for _ in range(b)]
+    return ExplicitGraph(a + b, adj)
+
+
+def cycle_graph(n: int) -> ExplicitGraph:
+    if n < 3:
+        raise ValueError("cycle needs n >= 3")
+    adj = [sorted(((v - 1) % n, (v + 1) % n)) for v in range(n)]
+    return ExplicitGraph(n, adj)
+
+
+def star_graph(leaves: int) -> ExplicitGraph:
+    """K_{1,leaves} with the center at vertex 0."""
+    adj = [list(range(1, leaves + 1))] + [[0] for _ in range(leaves)]
+    return ExplicitGraph(leaves + 1, adj)
+
+
+def tvd(p: dict, q: dict) -> Fraction:
+    """Total variation distance between two distributions on the same keys."""
+    if set(p) != set(q):
+        raise ValueError("distributions have mismatched universes")
+    total = Fraction(0)
+    for key, pv in p.items():
+        total += abs(Fraction(pv) - Fraction(q[key]))
+    return total / 2
+
+
+def empirical_distribution(counts: dict, total: int) -> dict:
+    return {k: Fraction(c, total) for k, c in counts.items()}
+
+
+def uniform_distribution(keys) -> dict:
+    keys = list(keys)
+    return {k: Fraction(1, len(keys)) for k in keys}
+
+
+def approx_checker(
+    estimator: Callable[[random.Random], float],
+    truth: float,
+    epsilon: float,
+    trials: int,
+    seed: int,
+) -> tuple[float, bool]:
+    """Empirical check of a (1 +/- epsilon) approximation at the standard 2/3
+    success level, with binomial slack at 95% confidence."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if trials < 30:
+        raise ValueError("need at least 30 trials")
+    rng = random.Random(derive_seed(seed))
+    hits = 0
+    for _ in range(trials):
+        est = estimator(random.Random(rng.getrandbits(64)))
+        if abs(est - truth) <= epsilon * truth:
+            hits += 1
+    rate = hits / trials
+    slack = 1.96 * math.sqrt((2.0 / 9.0) / trials)
+    return rate, rate >= 2.0 / 3.0 - slack
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> ExplicitGraph:

@@ -3,13 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from commgraph.bits import BitVec
 
+from helpers import bits_from_string
+
 
 def test_msb_first_hex():
     # bits 1010 -> first nibble 0xa
-    assert BitVec.from_string("1010").to_hex() == "a"
+    assert bits_from_string("1010").to_hex() == "a"
     # 5 bits pad on the right: 10111 -> 1011 1000 -> "b8"
-    assert BitVec.from_string("10111").to_hex() == "b8"
-    assert BitVec.from_hex("b8", 5) == BitVec.from_string("10111")
+    assert bits_from_string("10111").to_hex() == "b8"
+    assert BitVec.from_hex("b8", 5) == bits_from_string("10111")
 
 
 def test_bad_hex_padding_rejected():
@@ -18,21 +20,21 @@ def test_bad_hex_padding_rejected():
 
 
 def test_indexing_matches_string_order():
-    v = BitVec.from_string("0110")
+    v = bits_from_string("0110")
     assert [v[i] for i in range(4)] == [0, 1, 1, 0]
     with pytest.raises(IndexError):
         v[4]
 
 
 def test_and_popcount():
-    a = BitVec.from_string("1101")
-    b = BitVec.from_string("1011")
-    assert (a & b) == BitVec.from_string("1001")
+    a = bits_from_string("1101")
+    b = bits_from_string("1011")
+    assert (a & b) == bits_from_string("1001")
     assert (a & b).popcount() == 2
 
 
 def test_concat_copies():
-    assert BitVec.from_string("101").concat_copies(2) == BitVec.from_string("101101")
+    assert bits_from_string("101").concat_copies(2) == bits_from_string("101101")
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))

@@ -249,3 +249,26 @@ def test_huge_moment_parameters_are_a_config_error(tmp_path, capsys):
         "--out", str(tmp_path / "x.json"),
     ]) == 2
     assert capsys.readouterr().err.startswith("error: derived degree d = ")
+
+
+@pytest.mark.parametrize("case", ["instance", "edges", "gen-out", "transcripts"])
+def test_unreadable_or_unwritable_file_is_an_error(tmp_path, capsys, case):
+    # exit 1 means a failed verification; a missing file is exit 2, no traceback
+    out = tmp_path / "t.json"
+    assert run(["gen", "--kind", "triangle", "--l", "3", "--k", "1", "--seed", "5",
+                "--out", str(out)]) == 0
+    missing = tmp_path / "nodir" / "x"
+    argv = {
+        "instance": ["verify", "--instance", str(missing)],
+        "edges": ["verify", "--instance", str(out), "--edges", str(missing)],
+        "gen-out": ["gen", "--kind", "triangle", "--l", "3", "--k", "1", "--seed", "5",
+                    "--out", str(missing)],
+        "transcripts": ["simulate", "--kind", "triangle", "--l", "3", "--k", "1",
+                        "--distinguisher", "edge-sample-tester", "--budget", "3",
+                        "--trials", "2", "--seed", "1", "--transcripts", str(missing)],
+    }[case]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert str(missing) in err and "Traceback" not in err

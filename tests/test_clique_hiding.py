@@ -2,7 +2,6 @@ from math import comb
 
 import pytest
 
-from commgraph.bits import BitVec
 from commgraph.embeddings import (
     CliqueHidingParams,
     CliqueHidingEmbedding as build_clique_hiding,
@@ -20,11 +19,13 @@ from commgraph.promises import (
     UniqueIntersection,
 )
 
+from helpers import bits_from_string
+
 
 def make(x: str, y: str, **kwargs):
     defaults = dict(base=path_graph(4), l=3, blocks=len(x))
     defaults.update(kwargs)
-    pp = PromisePair(BitVec.from_string(x), BitVec.from_string(y), UniqueIntersection())
+    pp = PromisePair(bits_from_string(x), bits_from_string(y), UniqueIntersection())
     return build_clique_hiding(CliqueHidingParams(**defaults), pp)
 
 
@@ -64,7 +65,7 @@ def test_edge_counting_preset():
     base = lex_graph(12, 16)
     l = edge_counting_block_side(1, 4, base.m)
     assert l == 4
-    pp = PromisePair(BitVec.from_string("01"), BitVec.from_string("01"), UniqueIntersection())
+    pp = PromisePair(bits_from_string("01"), bits_from_string("01"), UniqueIntersection())
     inst = build_clique_hiding(CliqueHidingParams(base=base, l=l, blocks=2), pp)
     g = inst.materialize()
     added = g.m - base.m
@@ -111,13 +112,13 @@ def test_augment_connect_hub_appended_last():
 
 def test_promise_type_enforced():
     pp = PromisePair(
-        BitVec.from_string("11"), BitVec.from_string("11"), KIntersectOrDisjoint(2)
+        bits_from_string("11"), bits_from_string("11"), KIntersectOrDisjoint(2)
     )
     with pytest.raises(ParameterError):
         build_clique_hiding(CliqueHidingParams(base=path_graph(4), l=3, blocks=2), pp)
 
 
 def test_block_count_must_match_input_length():
-    pp = PromisePair(BitVec.from_string("101"), BitVec.from_string("010"), Disjoint())
+    pp = PromisePair(bits_from_string("101"), bits_from_string("010"), Disjoint())
     with pytest.raises(ParameterError):
         build_clique_hiding(CliqueHidingParams(base=path_graph(4), l=3, blocks=2), pp)

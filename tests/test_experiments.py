@@ -4,7 +4,6 @@ import pytest
 
 from commgraph.experiments import (
     AMPLIFIER_SAMPLES,
-    approx_checker,
     distinguisher_by_name,
     edge_sampling_amplifier,
     loglog_slope,
@@ -18,6 +17,8 @@ from commgraph.presets import (
     degree_only_family,
     triangle_family,
 )
+
+from helpers import approx_checker
 
 
 def counting_sampler(universe, rng, log):

@@ -22,9 +22,13 @@ from commgraph.graph import (
     sample_edge_by_degrees,
     validate_graph,
 )
-from commgraph.verify import empirical_distribution, tvd, uniform_distribution
-
-from helpers import random_instance, validate_by_neighbor
+from helpers import (
+    empirical_distribution,
+    random_instance,
+    tvd,
+    uniform_distribution,
+    validate_by_neighbor,
+)
 
 TRIANGLE = ExplicitGraph(3, [[1, 2], [0, 2], [0, 1]])
 PATH3 = ExplicitGraph(3, [[1], [0, 2], [1]])

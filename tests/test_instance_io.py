@@ -180,6 +180,44 @@ def test_moments_hiding_edits_name_the_field(edit, field, tmp_path):
     assert _verify_exit(tmp_path, obj, path.with_suffix(".edges")) == 2
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda obj: [], "top level"),
+    (lambda obj: {**obj, "params": []}, "'params'"),
+    (lambda obj: {**obj, "promise": []}, "'promise'"),
+    (lambda obj: {**obj, "params": {**obj["params"], "l": "4"}}, "'params.l'"),
+    (lambda obj: {**obj, "n_bits": "16"}, "'n_bits'"),
+    (lambda obj: {**obj, "x": 5}, "'x'"),
+    (lambda obj: {**obj, "params": {**obj["params"], "l": 4.0}}, "'params.l'"),
+    (lambda obj: {**obj, "promise": {**obj["promise"], "k": None}}, "'promise.k'"),
+], ids=["top", "params", "promise", "params.l", "n_bits", "x", "float", "promise.k"])
+def test_wrongly_typed_field_is_a_parameter_error(edit, field, tmp_path, capsys):
+    from commgraph.cli import main
+
+    path = tmp_path / "t.json"
+    assert main(["gen", "--kind", "triangle", "--l", "4", "--k", "1", "--seed", "1",
+                 "--out", str(path)]) == 0
+    obj = edit(json.loads(path.read_text()))
+    with pytest.raises(ParameterError, match=field):
+        instance_from_json(obj)
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, obj, path.with_suffix(".edges")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance JSON ") and field in err
+
+
+@pytest.mark.parametrize("kind", ["clique-hiding", "moments-hiding"])
+def test_wrongly_typed_base_graph_field_is_a_parameter_error(kind, generated):
+    obj = json.loads(json.dumps(generated[kind][0]))
+    base = obj["params"]["base"]
+    field = next(key for key in base if key != "kind")
+    base[field] = str(base[field])
+    with pytest.raises(ParameterError, match=f"'params.base.{field}'"):
+        instance_from_json(obj)
+    obj["params"]["base"] = {"kind": "explicit", "n": 2, "adj": [[1], ["0"]]}
+    with pytest.raises(ParameterError, match=r"'params\.base\.adj\[1\]\[0\]'"):
+        instance_from_json(obj)
+
+
 def test_missing_field_is_a_parameter_error():
     blob = instance_to_json(random_instance("connectivity", 3))
     del blob["params"]["l"]

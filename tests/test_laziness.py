@@ -13,10 +13,12 @@ import tracemalloc
 
 import pytest
 
-from commgraph.families import MatchingGraph, matching_graph
+from commgraph.families import MatchingGraph
 from commgraph.graph import Degree, Neighbor, Pair, RandomEdge
 from commgraph.presets import family
 from commgraph.promises import UniqueIntersection, gen_promise_instance
+
+from helpers import matching_graph
 
 DRAWS = 50
 MAX_ALLOCATED = 64 * 1024  # bytes: a few objects, no per-vertex table

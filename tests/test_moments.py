@@ -15,11 +15,12 @@ from commgraph.embeddings.moments_block import (
     derive_block_shape,
 )
 from commgraph.embeddings.moments_hiding import _least_power_at_least
-from commgraph.families import complete_bipartite_graph
 from commgraph.graph import Degree, validate_graph
 from commgraph.presets import moments_hiding_family
 from commgraph.promises import PromisePair, UniqueIntersection
 from commgraph.verify import densest_subgraph_bruteforce, moment
+
+from helpers import complete_bipartite_graph, induced_subgraph
 
 
 def hiding_pair(blocks, hot=None):
@@ -41,7 +42,7 @@ def test_block_shape_and_moment():
     assert validate_graph(g) == []
     assert moment(g, 2) == 16 + 48
     # the active block really is K_{4,2}
-    block = g.induced_subgraph(inst.block_vertices(1))
+    block = induced_subgraph(g, inst.block_vertices(1))
     reference = complete_bipartite_graph(4, 2)
     assert sorted(map(sorted, block.edges())) == sorted(map(sorted, reference.edges()))
 

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commgraph.bits import BitVec
 from commgraph.rng import stream
 from commgraph.promises import (
     Disjoint,
@@ -15,10 +14,12 @@ from commgraph.promises import (
     replicate_input,
 )
 
+from helpers import bits_from_string
+
 
 def test_promise_validation():
-    x = BitVec.from_string("110")
-    y = BitVec.from_string("011")
+    x = bits_from_string("110")
+    y = bits_from_string("011")
     with pytest.raises(PromiseViolation):
         PromisePair(x, y, Disjoint())
     PromisePair(x, y, UniqueIntersection())  # overlap 1 is fine
@@ -52,20 +53,20 @@ def test_side_is_fair_coin():
 
 
 def test_replicate_definition():
-    assert replicate_input(BitVec.from_string("101"), 2) == BitVec.from_string("101101")
+    assert replicate_input(bits_from_string("101"), 2) == bits_from_string("101101")
 
 
 def test_replicate_unique_intersection_gives_k_promise():
-    x = BitVec.from_string("100")
-    y = BitVec.from_string("100")
+    x = bits_from_string("100")
+    y = bits_from_string("100")
     xr, yr = replicate_input(x, 3), replicate_input(y, 3)
     assert (xr & yr).popcount() == 3
     assert inter_k(xr, yr, 3) == 1 - disj(x, y)
 
 
 def test_replicate_disjoint_stays_disjoint():
-    x = BitVec.from_string("101")
-    y = BitVec.from_string("010")
+    x = bits_from_string("101")
+    y = bits_from_string("010")
     for k in (1, 2, 5):
         assert (replicate_input(x, k) & replicate_input(y, k)).popcount() == 0
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from commgraph.bits import BitVec
 from commgraph.embeddings import (
     CliqueHidingParams,
     DegreeOnlyParams,
@@ -31,7 +30,7 @@ from commgraph.protocols import (
     simulate_query,
 )
 
-from helpers import random_instance
+from helpers import bits_from_string, random_instance
 
 
 def triangle_instance(seed=0):
@@ -41,7 +40,7 @@ def triangle_instance(seed=0):
 
 def clique_instance():
     pp = PromisePair(
-        BitVec.from_string("11"), BitVec.from_string("01"), UniqueIntersection()
+        bits_from_string("11"), bits_from_string("01"), UniqueIntersection()
     )
     return build_clique_hiding(
         CliqueHidingParams(base=path_graph(4), l=3, blocks=2), pp

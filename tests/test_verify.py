@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commgraph.embeddings import ConnectivityEmbedding, ConnectivityParams
-from commgraph.families import (
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    star_graph,
-)
+from commgraph.families import path_graph
 from commgraph.graph import ExplicitGraph
 from commgraph.promises import KIntersectOrDisjoint, UniqueIntersection, gen_promise_instance
 from commgraph.verify import (
@@ -25,15 +19,23 @@ from commgraph.verify import (
     count_triangles,
     densest_subgraph_bruteforce,
     degeneracy,
-    empirical_distribution,
     min_cut,
     moment,
-    tvd,
-    uniform_distribution,
     verify_instance,
 )
 
-from helpers import random_graph, random_instance, stoer_wagner_min_cut
+from helpers import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    empirical_distribution,
+    random_graph,
+    random_instance,
+    star_graph,
+    stoer_wagner_min_cut,
+    tvd,
+    uniform_distribution,
+)
 
 
 # --- triangle / clique counting ----------------------------------------------
