@@ -85,6 +85,11 @@ class BitVec:
     def popcount(self) -> int:
         return self._value.bit_count()
 
+    def first_one(self) -> Optional[int]:
+        """The least index holding a 1 (None if there is none), found in one
+        big-integer step without building the byte table."""
+        return self.n - self._value.bit_length() if self._value else None
+
     def concat_copies(self, k: int) -> "BitVec":
         """k concatenated copies of this vector."""
         if k < 1:

@@ -16,9 +16,7 @@ from .base import (
     MaterializationCapExceeded,
     ParameterError,
     UnsupportedQuery,
-    gap_label,
     lazy_answer,
-    materialize,
 )
 from .clique_hiding import (
     CliqueHidingEmbedding,
@@ -30,8 +28,7 @@ from .connectivity import ConnectivityEmbedding, ConnectivityParams
 from .degree_only import DegreeOnlyEmbedding, DegreeOnlyParams
 from .moments_block import MomentsBlockEmbedding, MomentsBlockParams
 from .moments_hiding import MomentsHidingEmbedding, MomentsHidingParams
-from .rclique import RCliqueEmbedding, RCliqueParams
-from .triangle import TriangleEmbedding, TriangleParams
+from .rclique import RCliqueEmbedding, RCliqueParams, TriangleEmbedding, TriangleParams
 
 EMBEDDING_CLASSES: dict[str, type[Embedding]] = {
     cls.kind: cls
@@ -180,10 +177,8 @@ __all__ = [
     "TriangleParams",
     "UnsupportedQuery",
     "edge_counting_block_side",
-    "gap_label",
     "instance_from_json",
     "instance_to_json",
     "lazy_answer",
-    "materialize",
     "triangle_freeness_block_side",
 ]

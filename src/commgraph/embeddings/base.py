@@ -253,7 +253,16 @@ class Embedding:
 
 class GridEmbedding(Embedding):
     """A {0, k}-intersection construction whose N = l*l input coordinates
-    form an l x l grid; a sweep size N sets l = sqrt(N)."""
+    form an l x l grid; a sweep size N sets l = sqrt(N).
+
+    Its vertices start with one routing gadget of four groups of l: A at
+    0, A' at l, and at ``p0`` and ``q0`` (2l and 3l in some order) a group
+    P indexed like A' and a group Q indexed like A.  Each subclass's
+    constructor sets ``l``, ``p0`` and ``q0``.  Coordinate (i, j) joins
+    a_i-p_j and a'_j-q_i when both inputs hold it, and a_i-a'_j and p_j-q_i
+    otherwise, so every gadget vertex has exactly l gadget neighbors
+    whatever the inputs.  Subclasses add their other groups from 4l on,
+    and any further neighbors after a gadget vertex's first l."""
 
     comm_function = "inter_k"
     swept = "l"
@@ -268,6 +277,42 @@ class GridEmbedding(Embedding):
         if side * side != n_bits:
             raise ParameterError(f"grid entry {n_bits} is not a perfect square (N = l^2)")
         return side
+
+    def grid_neighbor(self, v: int, i: int, joint: JointAccess) -> int:
+        """The i-th neighbor (1 <= i <= l) of a gadget vertex v < 4l: grid
+        bit (row, column) = (t, i-1) for a_t and q_t, (i-1, t) for a'_t and
+        p_t, picks the crossing edge or the side-preserving one."""
+        l, p0, q0 = self.l, self.p0, self.q0
+        group, t = divmod(v, l)
+        x = i - 1
+        if group == 0:  # a_t
+            return p0 + x if joint(t * l + x) else l + x
+        if group == 1:  # a'_t
+            return q0 + x if joint(x * l + t) else x
+        if v - t == p0:  # p_t
+            return x if joint(x * l + t) else q0 + x
+        return l + x if joint(t * l + x) else p0 + x  # q_t
+
+    def grid_row(self, v: int, joint: JointAccess) -> list[int]:
+        """``grid_neighbor`` at positions 1..l in one pass."""
+        l, p0, q0 = self.l, self.p0, self.q0
+        group, t = divmod(v, l)
+        if group == 0:  # a_t: grid row t picks p_j or a'_j
+            return [p0 + j if joint(t * l + j) else l + j for j in range(l)]
+        if group == 1:  # a'_t: grid column t picks q_i or a_i
+            return [q0 + i if joint(i * l + t) else i for i in range(l)]
+        if v - t == p0:  # p_t: grid column t picks a_i or q_i
+            return [i if joint(i * l + t) else q0 + i for i in range(l)]
+        return [l + j if joint(t * l + j) else p0 + j for j in range(l)]  # q_t: row t
+
+    def grid_pair(self, u: int, v: int, joint: JointAccess) -> int:
+        """Whether gadget vertices u, v < 4l are adjacent.  The gadget is
+        bipartite between A+Q and A'+P, and across the two sides the one
+        position of u's row that can hold v is v's index plus one."""
+        l, q0 = self.l, self.q0
+        if (u < l or u - u % l == q0) == (v < l or v - v % l == q0):
+            return 0
+        return 1 if self.grid_neighbor(u, v % l + 1, joint) == v else 0
 
 
 def lazy_answer(
@@ -296,10 +341,3 @@ class LazyOracle:
         self.queries_made += 1
         return ans
 
-
-def materialize(inst: Embedding) -> ExplicitGraph:
-    return inst.materialize()
-
-
-def gap_label(inst: Embedding) -> int:
-    return inst.gap_label()

@@ -50,12 +50,7 @@ class DegreeOnlyEmbedding(Embedding):
         self.n = 3 * self.k * self.blocks
         self.pad = self.n - params.n
         self.third = self.n // 3
-        hot = None
-        for j in range(self.blocks):
-            if pp.x[j] & pp.y[j]:
-                hot = j
-                break
-        self._hot = hot
+        self._hot = (pp.x & pp.y).first_one()  # the shared block, if any
 
     @classmethod
     def n_bits_for(cls, params: DegreeOnlyParams) -> int:

@@ -1,21 +1,33 @@
-"""r-clique gap instances: the triangle grid plus r-2 mutually complete
-witness sets.
+"""r-clique gap instances: the grid routing gadget plus r-2 mutually
+complete witness sets; triangle is the r = 3 case.
 
-S_1 .. S_(r-2) are pairwise completely joined, and every A and B vertex
-is adjacent to all of S, so each shared coordinate's (a_i, b_j) edge
-completes one r-clique per transversal of the S sets: l^(r-2) of them.
-Disjoint inputs leave no r-clique at all.
+The gadget's four groups are A, A', B = P and B' = Q (see
+``GridEmbedding``): a shared coordinate (i, j) joins a_i to b_j, and
+nothing else ever joins the A side to the B side.  S_1 .. S_(r-2) of
+``s_size`` vertices each (default l) are pairwise completely joined, and
+every A and B vertex is adjacent to all of S, so each shared coordinate's
+(a_i, b_j) edge completes one r-clique per transversal of the S sets:
+s_size^(r-2) of them.  Disjoint inputs leave no r-clique at all.
+Padding vertices after S have no edges.  Degrees never depend on the
+inputs, which is what makes uniform random edge sampling simulable: a
+vertex is picked proportionally to its known degree and only the final
+neighbor lookup can touch an input bit.
 
 The sparse-S variant (r >= 4) keeps only an "active" prefix of each S
 set inside the S-S join, shrinking the transversal count to a requested
 budget while all A-S and B-S edges remain.
+
+The ``triangle`` kind is this construction at r = 3 with one S set whose
+size is its own ``--s-size`` flag: ``TriangleParams`` builds the r = 3
+parameters, and ``TriangleEmbedding`` keeps the triangle flags, JSON and
+verifier claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..promises import PromisePair
 from .base import GridEmbedding, JointAccess, ParameterError, least_at_least
@@ -26,8 +38,9 @@ class RCliqueParams:
     r: int
     l: int
     k: int
-    n: Optional[int] = None  # padded up to (r+2)*l when too small
+    n: Optional[int] = None  # padded up to 4l + (r-2)*s_size when too small
     s_clique_budget: Optional[int] = None  # sparse-S target transversal count
+    s_size: Optional[int] = None  # size of each S set; defaults to l
 
     def __post_init__(self):
         if self.r < 3:
@@ -36,10 +49,22 @@ class RCliqueParams:
             raise ParameterError("l must be >= 1")
         if self.k < 1:
             raise ParameterError("k must be >= 1")
-        _active_sizes(self.r, self.l, self.s_clique_budget)  # budget feasibility
+        if self.s_size is not None and self.s_size < 1:
+            raise ParameterError("s_size must be >= 1")
+        _active_sizes(self.r, self.s_size or self.l, self.s_clique_budget)  # budget feasibility
+
+
+def TriangleParams(
+    l: int, k: int, n: Optional[int] = None, s_size: Optional[int] = None
+) -> RCliqueParams:
+    """Triangle parameters: r-clique at r = 3, whose one S set has
+    ``s_size`` vertices (default l); n is padded up to 4l + s_size."""
+    return RCliqueParams(r=3, l=l, k=k, n=n, s_size=s_size)
 
 
 def _active_sizes(r: int, l: int, budget: Optional[int]) -> list[int]:
+    """Active prefix size of each of the r-2 S sets, for S sets of l
+    vertices each (l is the S set size, the grid side unless s_size is set)."""
     sets = r - 2
     if budget is None:
         return [l] * sets
@@ -68,31 +93,29 @@ class RCliqueEmbedding(GridEmbedding):
         super().__init__(params, pp, seed)
         l, r = params.l, params.r
         self.l, self.r, self.k = l, r, params.k
+        self.s_size = params.s_size if params.s_size is not None else l
         self.sets = r - 2
-        self.active = _active_sizes(r, l, params.s_clique_budget)
-        minimum = (r + 2) * l
-        requested = params.n if params.n is not None else minimum
-        self.n = max(requested, minimum)
-        self.pad = self.n - requested
-        self.a0, self.ap0, self.b0, self.bp0 = 0, l, 2 * l, 3 * l
+        self.active = _active_sizes(r, self.s_size, params.s_clique_budget)
+        self.p0, self.q0 = 2 * l, 3 * l  # B = [2l, 3l) is j-indexed, B' = [3l, 4l) i-indexed
         self.s0 = 4 * l
-        self.c0 = (r + 2) * l
-        self.s_total = self.sets * l
+        self.s_total = self.sets * self.s_size
+        self.c0 = self.s0 + self.s_total  # padding
+        requested = params.n if params.n is not None else self.c0
+        self.n = max(requested, self.c0)
+        self.pad = self.n - requested
 
-    def _coord(self, i: int, j: int) -> int:
-        return i * self.l + j
+    def _joins_s(self, v: int) -> bool:
+        """Whether gadget vertex v is in A or B, the groups joined to all of S."""
+        return v < self.l or self.p0 <= v < self.q0
 
     def _s_set(self, v: int) -> tuple[int, int]:
         """(set index, local index) for an S vertex."""
-        off = v - self.s0
-        return off // self.l, off % self.l
+        return divmod(v - self.s0, self.s_size)
 
     def degree_of(self, v: int, joint: JointAccess) -> int:
         l = self.l
-        if v < l or self.b0 <= v < self.bp0:  # A or B
-            return l + self.s_total
-        if v < self.b0 or self.bp0 <= v < self.s0:  # A' or B'
-            return l
+        if v < self.s0:
+            return l + self.s_total if self._joins_s(v) else l
         if v < self.c0:  # S
             t, z = self._s_set(v)
             inter = sum(self.active[u] for u in range(self.sets) if u != t)
@@ -101,38 +124,17 @@ class RCliqueEmbedding(GridEmbedding):
 
     def neighbor_of(self, v: int, i: int, joint: JointAccess) -> Optional[int]:
         l = self.l
-        if v < l:  # a_v
+        if v < self.s0:  # gadget; A and B continue with all of S
             if i <= l:
-                j = i - 1
-                return self.b0 + j if joint(self._coord(v, j)) else self.ap0 + j
-            if i <= l + self.s_total:
+                return self.grid_neighbor(v, i, joint)
+            if i <= l + self.s_total and self._joins_s(v):
                 return self.s0 + (i - l - 1)
             return None
-        if v < self.b0:  # a'_j
-            j = v - self.ap0
-            if i <= l:
-                row = i - 1
-                return self.bp0 + row if joint(self._coord(row, j)) else row
-            return None
-        if v < self.bp0:  # b_j
-            j = v - self.b0
-            if i <= l:
-                row = i - 1
-                return row if joint(self._coord(row, j)) else self.bp0 + row
-            if i <= l + self.s_total:
-                return self.s0 + (i - l - 1)
-            return None
-        if v < self.s0:  # b'_i
-            row = v - self.bp0
-            if i <= l:
-                j = i - 1
-                return self.ap0 + j if joint(self._coord(row, j)) else self.b0 + j
-            return None
-        if v < self.c0:  # S vertex
+        if v < self.c0:  # S vertex: all of A, all of B, then the S-S join
             if i <= l:
                 return i - 1
             if i <= 2 * l:
-                return self.b0 + (i - l - 1)
+                return self.p0 + (i - l - 1)
             t, z = self._s_set(v)
             if z >= self.active[t]:
                 return None
@@ -141,51 +143,52 @@ class RCliqueEmbedding(GridEmbedding):
                 if u == t:
                     continue
                 if q <= self.active[u]:
-                    return self.s0 + u * l + (q - 1)
+                    return self.s0 + u * self.s_size + (q - 1)
                 q -= self.active[u]
             return None
         return None
 
+    def row_of(self, v: int, joint: JointAccess) -> Sequence[int]:
+        """The neighbor rule's whole row in one pass."""
+        if v < self.s0:  # the gadget row; A and B rows end with all of S
+            row = self.grid_row(v, joint)
+            if self._joins_s(v):
+                row.extend(range(self.s0, self.c0))
+            return row
+        if v >= self.c0:  # padding
+            return ()
+        l = self.l
+        row = [*range(l), *range(self.p0, self.p0 + l)]
+        t, z = self._s_set(v)
+        if z < self.active[t]:
+            for u, a in enumerate(self.active):
+                if u != t:
+                    start = self.s0 + u * self.s_size
+                    row.extend(range(start, start + a))
+        return row
+
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:
         u, v = (u, v) if u < v else (v, u)
-        ga, gb = self._group(u), self._group(v)
-        if ga == "A" and gb == "B":
-            return joint(self._coord(u, v - self.b0))
-        if ga == "A" and gb == "A'":
-            return 1 - joint(self._coord(u, v - self.ap0))
-        if ga == "A'" and gb == "B'":
-            return joint(self._coord(v - self.bp0, u - self.ap0))
-        if ga == "B" and gb == "B'":
-            return 1 - joint(self._coord(v - self.bp0, u - self.b0))
-        if gb == "S" and ga in ("A", "B"):
-            return 1
-        if ga == "S" and gb == "S":
-            tu, zu = self._s_set(u)
-            tv, zv = self._s_set(v)
-            if tu == tv:
-                return 0
-            return 1 if zu < self.active[tu] and zv < self.active[tv] else 0
-        return 0
-
-    def _group(self, v: int) -> str:
-        if v < self.ap0:
-            return "A"
-        if v < self.b0:
-            return "A'"
-        if v < self.bp0:
-            return "B"
         if v < self.s0:
-            return "B'"
-        if v < self.c0:
-            return "S"
-        return "C"
+            return self.grid_pair(u, v, joint)
+        if v >= self.c0:
+            return 0
+        if u < self.s0:  # gadget vertex against S
+            return 1 if self._joins_s(u) else 0
+        tu, zu = self._s_set(u)
+        tv, zv = self._s_set(v)
+        if tu == tv:
+            return 0
+        return 1 if zu < self.active[tu] and zv < self.active[tv] else 0
 
     def input_free_degrees(self) -> list[tuple[int, int]]:
-        l = self.l
+        l, s = self.l, self.s_size
         runs = [(l, l + self.s_total), (l, l), (l, l + self.s_total), (l, l)]
         active_total = sum(self.active)
         for a in self.active:  # S_t: active prefix joined to the other sets
-            runs += [(a, 2 * l + active_total - a), (l - a, 2 * l)]
+            runs.append((a, 2 * l + active_total - a))
+            if a < s:  # no run for an empty inactive rest
+                runs.append((s - a, 2 * l))
         return runs
 
     def edge_count(self) -> int:
@@ -222,5 +225,42 @@ class RCliqueEmbedding(GridEmbedding):
             k=params["k"],
             n=params["n"] - params["pad"],
             s_clique_budget=params.get("s_clique_budget"),
+        )
+        return cls(p, pp, seed)
+
+
+class TriangleEmbedding(RCliqueEmbedding):
+    """r-clique at r = 3 under its own kind name, flags and JSON: one S set
+    of ``s_size`` vertices, so disjoint inputs leave the graph bipartite
+    between S+A+B and A'+B'+padding and each shared coordinate's A-B edge
+    lies in s_size triangles."""
+
+    kind = "triangle"
+    Params = TriangleParams
+    requires = ("l", "k")
+    accepts = ("n", "s_size")
+
+    def expected_triangle_count(self) -> int:
+        """Exact triangle count: every triangle is {a, b, s} over a shared
+        coordinate's A-B edge."""
+        return self.expected_clique_count()
+
+    def params_json(self) -> dict:
+        return {
+            "l": self.l,
+            "k": self.k,
+            "n": self.n,
+            "s_size": self.s_size,
+            "blocks": self.l * self.l,
+            "pad": self.pad,
+        }
+
+    @classmethod
+    def from_params_json(cls, params: dict, pp: PromisePair, seed=None):
+        p = TriangleParams(
+            l=params["l"],
+            k=params["k"],
+            n=params["n"] - params["pad"],
+            s_size=params["s_size"],
         )
         return cls(p, pp, seed)

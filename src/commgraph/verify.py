@@ -407,10 +407,6 @@ def check_alpha_bounds(
 # per-construction gap certification
 
 
-def _report(quantity: str, value: Value, claim: str, passed: bool) -> VerificationReport:
-    return VerificationReport(quantity, value, claim, passed)
-
-
 def verify_instance(
     inst: Embedding, g: Optional[Union[ExplicitGraph, str]] = None
 ) -> list[VerificationReport]:
@@ -436,7 +432,7 @@ def verify_instance(
         if isinstance(g, str):
             g = mine if g == dump_edge_list(mine) else load_edge_list(g)
         reports.append(
-            _report(
+            VerificationReport(
                 "edge_list_match",
                 g.m,
                 "supplied graph equals the instance's materialization",
@@ -445,7 +441,7 @@ def verify_instance(
         )
     findings = validate_graph(g)
     reports.append(
-        _report("valid_graph", len(findings), "no invariant findings", not findings)
+        VerificationReport("valid_graph", len(findings), "no invariant findings", not findings)
     )
     if findings:
         # the kernels below assume a simple, symmetric graph
@@ -454,83 +450,75 @@ def verify_instance(
     overlap = inst.pp.overlap
     intersecting = inst.pp.intersecting
     kind = inst.kind
+    if kind in ("triangle", "r-clique", "connectivity", "degree-only"):
+        expected_m = inst.edge_count()
+        reports.append(VerificationReport("edge_count", m, f"m == {expected_m}", m == expected_m))
 
     if kind == "clique-hiding":
         baseline = inst.baseline_edge_count()
         expected = baseline + comb(inst.l, 2) * overlap
-        reports.append(_report("edge_count", m, f"m == {expected}", m == expected))
+        reports.append(VerificationReport("edge_count", m, f"m == {expected}", m == expected))
         if intersecting:
             gain = comb(inst.l, 2)
-            reports.append(
-                _report("edge_count", m, f"m >= baseline + {gain}", m >= baseline + gain)
-            )
+            claim = f"m >= baseline + {gain}"
+            reports.append(VerificationReport("edge_count", m, claim, m >= baseline + gain))
         else:
-            reports.append(_report("edge_count", m, "m == baseline", m == baseline))
+            reports.append(VerificationReport("edge_count", m, "m == baseline", m == baseline))
     elif kind == "triangle":
-        expected_m = inst.edge_count()
-        reports.append(_report("edge_count", m, f"m == {expected_m}", m == expected_m))
         c3 = count_triangles(g)
         expected_c3 = inst.expected_triangle_count()
         reports.append(
-            _report("triangle_count", c3, f"C3 == {expected_c3}", c3 == expected_c3)
+            VerificationReport("triangle_count", c3, f"C3 == {expected_c3}", c3 == expected_c3)
         )
-        side = (
-            f"C3 >= {inst.k * inst.s_size}" if intersecting else "C3 == 0"
-        )
+        side = f"C3 >= {inst.k * inst.s_size}" if intersecting else "C3 == 0"
         ok = c3 >= inst.k * inst.s_size if intersecting else c3 == 0
-        reports.append(_report("triangle_count", c3, side, ok))
+        reports.append(VerificationReport("triangle_count", c3, side, ok))
     elif kind == "r-clique":
-        expected_m = inst.edge_count()
-        reports.append(_report("edge_count", m, f"m == {expected_m}", m == expected_m))
         cr = count_r_cliques(g, inst.r)
         expected_cr = inst.expected_clique_count()
         name = f"r_clique_count({inst.r})"
-        reports.append(_report(name, cr, f"C_r == {expected_cr}", cr == expected_cr))
+        reports.append(VerificationReport(name, cr, f"C_r == {expected_cr}", cr == expected_cr))
         witnesses = inst.expected_clique_count() if intersecting else 0
         side = f"C_r >= {witnesses}" if intersecting else "C_r == 0"
         ok = cr >= witnesses if intersecting else cr == 0
-        reports.append(_report(name, cr, side, ok))
+        reports.append(VerificationReport(name, cr, side, ok))
     elif kind == "connectivity":
-        expected_m = inst.edge_count()
-        reports.append(_report("edge_count", m, f"m == {expected_m}", m == expected_m))
         if intersecting:
             cut = min_cut(g)
-            reports.append(_report("min_cut", cut, f"min cut >= {inst.k}", cut >= inst.k))
+            claim = f"min cut >= {inst.k}"
+            reports.append(VerificationReport("min_cut", cut, claim, cut >= inst.k))
         else:
             comps = connected_components(g)
             reports.append(
-                _report("connected_components", comps, "components >= 2", comps >= 2)
+                VerificationReport("connected_components", comps, "components >= 2", comps >= 2)
             )
     elif kind == "degree-only":
-        expected_m = inst.edge_count()
-        reports.append(_report("edge_count", m, f"m == {expected_m}", m == expected_m))
         low, high = (inst.n * inst.k) // 3, (2 * inst.n * inst.k) // 3
-        side = f"m == {high}" if intersecting else f"m == {low}"
-        reports.append(_report("edge_count", m, side, m == (high if intersecting else low)))
+        want = high if intersecting else low
+        reports.append(VerificationReport("edge_count", m, f"m == {want}", m == want))
         degs = g.degrees()
         vw_ok = all(degs[v] == inst.k for v in range(inst.third, inst.n))
         reports.append(
-            _report("degree_table", inst.k, "every V,W vertex has degree k", vw_ok)
+            VerificationReport("degree_table", inst.k, "every V,W vertex has degree k", vw_ok)
         )
     elif kind == "moments-hiding":
         m_s = moment(g, inst.s)
         expected = inst.expected_moment()
-        reports.append(_report(f"moment({inst.s})", m_s, f"M_s == {expected}", m_s == expected))
+        name = f"moment({inst.s})"
+        reports.append(VerificationReport(name, m_s, f"M_s == {expected}", m_s == expected))
         if intersecting:
             bound = (1 + inst.c) * inst.m_tilde
-            reports.append(
-                _report(f"moment({inst.s})", m_s, f"M_s >= {bound}", m_s >= bound)
-            )
+            reports.append(VerificationReport(name, m_s, f"M_s >= {bound}", m_s >= bound))
         else:
-            reports.append(
-                _report(f"moment({inst.s})", m_s, f"M_s == {inst.m_tilde}", m_s == inst.m_tilde)
-            )
+            claim = f"M_s == {inst.m_tilde}"
+            reports.append(VerificationReport(name, m_s, claim, m_s == inst.m_tilde))
         if inst.s >= 2:
             reports.append(check_alpha_bounds(g, inst.s))
     elif kind == "moments-block":
         m_s = moment(g, inst.s)
         expected = inst.expected_moment()
-        reports.append(_report(f"moment({inst.s})", m_s, f"M_s == {expected}", m_s == expected))
+        name = f"moment({inst.s})"
+        reports.append(VerificationReport(name, m_s, f"M_s == {expected}", m_s == expected))
         quiet, loud = inst.moment_both_sides()
         if intersecting:
             ok = 3 * m_s >= inst.c * quiet
@@ -538,7 +526,7 @@ def verify_instance(
         else:
             ok = 3 * loud >= inst.c * m_s
             claim = f"3*intersecting-side M_s = {3 * loud} >= c*M_s"
-        reports.append(_report(f"moment({inst.s})", m_s, claim, ok))
+        reports.append(VerificationReport(name, m_s, claim, ok))
         if inst.s >= 2:
             reports.append(check_alpha_bounds(g, inst.s))
     else:

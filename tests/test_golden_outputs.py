@@ -3,11 +3,14 @@
 Each case runs ``commgraph.cli.main`` in-process from a scratch directory
 and digests every file it writes, its exit code and its stdout and stderr.
 The matrix covers every kind at two seeds on both promise sides (``gen``
-then ``verify --edges``), the optional per-kind flags, one ``simulate`` per
-reference distinguisher and two small ``sweep`` runs.
+then ``verify --edges``), the optional per-kind flags, the padding path,
+one ``simulate`` per reference distinguisher plus the edge sampler on every
+grid kind, two small ``sweep`` runs and the ``gen --help`` text, which pins
+the flag set.
 
 The digests pin the byte streams of CPython's ``random`` module as well as
-commgraph's own behaviour.  The README states that those streams are an
+commgraph's own behaviour, and the help text pins argparse's formatting at
+80 columns.  The README states that those streams are an
 implementation detail, so a Python release that changes them changes these
 digests with no commgraph change.  A change that alters an output on
 purpose updates the digest here and names the output it changed.
@@ -53,6 +56,18 @@ GEN_CASES.update({
         "--kind", "r-clique", "--r", "4", "--l", "3", "--k", "1",
         "--s-clique-budget", "4", "--seed", "3", "--side", "intersecting",
     ],
+    "triangle/s-size-above-l": [
+        "--kind", "triangle", "--l", "3", "--k", "2", "--s-size", "5",
+        "--seed", "3", "--side", "intersecting",
+    ],
+    "connectivity/n-below-4l/intersecting": [
+        "--kind", "connectivity", "--k", "2", "--l", "4", "--n", "10",
+        "--seed", "3", "--side", "intersecting",
+    ],
+    "connectivity/n-below-4l/disjoint": [
+        "--kind", "connectivity", "--k", "2", "--l", "4", "--n", "10",
+        "--seed", "3", "--side", "disjoint",
+    ],
     "degree-only/promise-disjoint": [
         "--kind", "degree-only", "--n", "18", "--k", "2", "--promise", "disjoint",
         "--seed", "3",
@@ -73,7 +88,24 @@ SIMULATE_CASES = {
         "--distinguisher", "edge-sample-tester", "--budget", "12", "--trials", "20",
         "--seed", "4",
     ],
+    "edge-sample-tester/r-clique": [
+        "--kind", "r-clique", "--r", "4", "--l", "3", "--k", "2",
+        "--distinguisher", "edge-sample-tester", "--budget", "12", "--trials", "20",
+        "--seed", "4",
+    ],
+    "edge-sample-tester/r-clique-s-clique-budget": [
+        "--kind", "r-clique", "--r", "4", "--l", "3", "--k", "1", "--s-clique-budget", "4",
+        "--distinguisher", "edge-sample-tester", "--budget", "12", "--trials", "20",
+        "--seed", "4",
+    ],
+    "edge-sample-tester/connectivity": [
+        "--kind", "connectivity", "--k", "2", "--l", "4", "--n", "20",
+        "--distinguisher", "edge-sample-tester", "--budget", "12", "--trials", "20",
+        "--seed", "4",
+    ],
 }
+
+HELP_CASES = {"gen": ["gen", "--help"]}
 
 SWEEP_CASES = {
     "clique-hiding": [
@@ -124,6 +156,13 @@ DIGESTS = {
     "simulate:edge-sample-tester": "bbfd8bf3ad0bc9e45eb60fe0170609d43105f42834516ca2ce47b17049cf485e",
     "sweep:clique-hiding": "02bde867d14b7de11e807965c33c3fd8e3ab213c23960596b29a9c4bfedbedcb",
     "sweep:triangle": "6eb082fc5bba54c93f0ae19b2d1fc017322c1d1c03fc912bd9c16a1dfdac7825",
+    "gen:triangle/s-size-above-l": "cdb9ac1e49826d54c0a8ea3c3b820c54bec5209e28fc852e9c275ab498851fea",
+    "gen:connectivity/n-below-4l/intersecting": "66f08d2c8d63c4e7dc6ec0528990bb5c97ff43f8170b82704cdff3418982b39a",
+    "gen:connectivity/n-below-4l/disjoint": "1a6d59e10a09a81c8b37f761761c774c81a2847ce7781ea6d230bc826ca8a7f9",
+    "simulate:edge-sample-tester/r-clique": "4b85754e6427b0aa802e03ac7fc7778c7094466d0a623246b29f8bb5e8771df7",
+    "simulate:edge-sample-tester/r-clique-s-clique-budget": "d709ecf318e29d2212bebd379405d5ebe7d0d74071a4b2d72b516150b4ae9c5b",
+    "simulate:edge-sample-tester/connectivity": "f8f46ce7663c6ec5a5b9bc7e10825d0885a22a21fe0932854c6a2d4261b30931",
+    "help:gen": "42469504a4ccbf8cfbfab7e27aefdf368a789fc341e6e036c6a0349f0d151fc4",
 }
 
 
@@ -140,7 +179,10 @@ class Recorder:
         self.hash.update(data)
 
     def run(self, argv: list[str], files: list[str]) -> int:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse leaves this way after --help
+            code = exc.code
         out, err = self.capsys.readouterr()
         self._add("exit", str(code).encode())
         self._add("stdout", out.encode())
@@ -162,6 +204,9 @@ def _digest(group: str, case: str, tmp_path: Path, monkeypatch, capsys) -> str:
     elif group == "simulate":
         assert rec.run(["simulate", *SIMULATE_CASES[case], "--transcripts", "t.csv"],
                        ["t.csv"]) == 0
+    elif group == "help":
+        monkeypatch.setenv("COLUMNS", "80")
+        assert rec.run(HELP_CASES[case], []) == 0
     else:
         assert rec.run(["sweep", *SWEEP_CASES[case], "--out", "sweep.csv"],
                        ["sweep.csv"]) == 0
@@ -172,6 +217,7 @@ CASES = (
     [("gen", c) for c in GEN_CASES]
     + [("simulate", c) for c in SIMULATE_CASES]
     + [("sweep", c) for c in SWEEP_CASES]
+    + [("help", c) for c in HELP_CASES]
 )
 
 

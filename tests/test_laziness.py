@@ -1,5 +1,5 @@
-"""Laziness of the random-edge path and of the moments-hiding build,
-checked by counting work, not timing it.
+"""Laziness of the random-edge path and of the moments-hiding and
+degree-only builds, checked by counting work, not timing it.
 
 Building a lazy-only instance and drawing random edges from it must
 allocate nothing in proportion to n.  Each case first runs at n = 10^5,
@@ -13,10 +13,12 @@ import tracemalloc
 
 import pytest
 
+from commgraph.bits import BitVec
+from commgraph.embeddings import DegreeOnlyEmbedding, DegreeOnlyParams
 from commgraph.families import MatchingGraph
 from commgraph.graph import Degree, Neighbor, Pair, RandomEdge
 from commgraph.presets import family
-from commgraph.promises import UniqueIntersection, gen_promise_instance
+from commgraph.promises import Disjoint, PromisePair, UniqueIntersection, gen_promise_instance
 
 from helpers import matching_graph
 
@@ -80,6 +82,27 @@ def test_moments_hiding_build_is_flat_in_m_tilde():
     for m_tilde in (2 * 10**5, 2 * 10**9):
         peak = build_moments_hiding(m_tilde)
         assert peak <= MAX_ALLOCATED, (m_tilde, peak)
+
+
+@pytest.mark.parametrize("hot", [None, 0, 10**5 - 1])
+def test_degree_only_build_reads_no_input_bit(hot, monkeypatch):
+    """Finding the shared block takes no per-coordinate read, on either
+    promise side, at N = 10^5 blocks."""
+    n_bits = 10**5
+    x = BitVec(n_bits, (1 << n_bits) - 1)
+    y = BitVec(n_bits, 0 if hot is None else 1 << (n_bits - 1 - hot))
+    pp = PromisePair(x, y, Disjoint() if hot is None else UniqueIntersection())
+    reads = []
+    getitem = BitVec.__getitem__
+    monkeypatch.setattr(BitVec, "__getitem__", lambda vec, i: reads.append(i) or getitem(vec, i))
+    inst = DegreeOnlyEmbedding(DegreeOnlyParams(n=3 * n_bits, k=1), pp)
+    assert reads == []
+    monkeypatch.undo()
+    if hot is None:
+        assert inst.edge_count() == n_bits
+    else:
+        assert inst.edge_count() == 2 * n_bits
+        assert inst.row_of(hot, inst.direct_joint) == range(n_bits, 3 * n_bits)
 
 
 @pytest.mark.parametrize("pairs", [0, 1, 2, 5])
