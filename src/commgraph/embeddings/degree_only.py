@@ -10,7 +10,8 @@ single bit exchange settles them.
 Only degree queries are served lazily: answering a neighbor or pair
 query cheaply would require locating the hot block, which is exactly
 what the construction is hiding.  Materialization still produces the
-full graph for offline verification, a closed-form range per row.
+full graph for offline verification: a closed-form range per row,
+one tuple shared by the k rows of a block.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ class DegreeOnlyEmbedding(Embedding):
         block = (v - (third if in_v else 2 * third)) // k
         partner_base = (2 * third if in_v else third) + block * k
         return range(partner_base, partner_base + k)
+
+    def rows(self, joint: JointAccess) -> list[Sequence[int]]:
+        # the k vertices of a block have one row, so they share one tuple
+        k, row_of = self.k, self.row_of
+        rows: list[Sequence[int]] = []
+        for start in range(0, self.n, k):
+            rows += [tuple(row_of(start, joint))] * k
+        return rows
 
     def pair_of(self, u: int, v: int, joint: JointAccess) -> int:
         u, v = (u, v) if u < v else (v, u)

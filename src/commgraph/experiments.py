@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
@@ -72,6 +72,15 @@ class Distinguisher:
 
 
 @dataclass(frozen=True)
+class Trial:
+    """One trial's instance, its true label and its public view."""
+
+    inst: Embedding
+    truth: int
+    view: PublicView
+
+
+@dataclass(frozen=True)
 class InstanceFamily:
     """A construction with fixed parameters, buildable per random input pair."""
 
@@ -79,6 +88,27 @@ class InstanceFamily:
     n_bits: int
     promise: Promise
     build: Callable[[PromisePair], Embedding]
+
+    def draw(self, seed: int, t: int) -> Trial:
+        """Trial t: its inputs come from ``derive_seed(seed, t, 0)`` alone."""
+        pp = gen_promise_instance(self.n_bits, self.promise, derive_seed(seed, t, 0))
+        inst = self.build(pp)
+        return Trial(inst, inst.gap_label(), PublicView.of(inst))
+
+
+@dataclass(frozen=True)
+class _KeptTrials(InstanceFamily):
+    """A family that keeps every trial it draws, so the steps of one budget
+    search, which all draw at the search's seed, run the same instances
+    without drawing or building them again."""
+
+    kept: list = field(default_factory=list, compare=False, repr=False)
+
+    def draw(self, seed: int, t: int) -> Trial:
+        kept = self.kept
+        while len(kept) <= t:
+            kept.append(super().draw(seed, len(kept)))
+        return kept[t]
 
 
 @dataclass
@@ -130,10 +160,14 @@ def run_distinguisher_trials(
     A budget violation invalidates the trial and counts as a failure.
     ``mean_bits`` is the mean transcript total per trial.  Trial t draws
     its inputs and randomness from ``derive_seed(seed, t, .)`` alone, so
-    the same seed runs the same trials at every budget.  ``on_trial``
+    the same seed runs the same trials at every budget.  Each trial is
+    drawn (``family.draw``) only after the previous one's ``on_trial``
+    has run, and an ``InstanceFamily`` keeps none of them.  ``on_trial``
     gets ``(t, output, truth, transcript, view)`` after each trial, with
     output and transcript None after a budget violation.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if d.supports and family.kind not in d.supports:
@@ -142,17 +176,15 @@ def run_distinguisher_trials(
     total_bits = 0
     max_bits = 0
     for t in range(trials):
-        pp = gen_promise_instance(family.n_bits, family.promise, derive_seed(seed, t, 0))
-        inst = family.build(pp)
-        truth = inst.gap_label()
-        view = PublicView.of(inst)
+        trial = family.draw(seed, t)
+        truth, view = trial.truth, trial.view
 
         def algorithm(oracle, rng):
             return d.run(oracle, view, budget, rng)
 
         try:
             output, transcript = run_reduction(
-                inst, algorithm, derive_seed(seed, t, 1), budget=budget
+                trial.inst, algorithm, derive_seed(seed, t, 1), budget=budget
             )
             ok = output == truth
         except BudgetExceeded:
@@ -179,25 +211,30 @@ def run_distinguisher_trials(
 # reference distinguishers
 
 
-def _block_witness_pair(view: PublicView, j: int) -> tuple[int, int]:
+def _block_witness_pair(view: PublicView) -> tuple[int, int]:
+    """(block stride, offset): block j's witness pair is (u, u + offset)
+    with u = j * stride."""
     if view.kind == "clique-hiding":
         l = view.params["l"]
         if l < 2:
             raise ValueError("pair probing needs blocks of size >= 2")
-        return j * l, j * l + 1
+        return l, 1
     if view.kind == "moments-hiding":
-        size, p = view.params["block_size"], view.params["p"]
-        return j * size, j * size + p
+        return view.params["block_size"], view.params["p"]
     raise ValueError(f"no in-block witness pair for {view.kind}")
 
 
 def _pair_probe(oracle, view: PublicView, budget: int, rng: random.Random) -> int:
     """Probe the witness pair of a uniformly random block per query; a
     positive answer certifies the intersecting side."""
+    if budget < 1:  # no query, so no witness pair is needed
+        return view.label_disjoint
     blocks = view.params["blocks"]
+    stride, offset = _block_witness_pair(view)
+    answer, randrange = oracle.answer, rng.randrange
     for _ in range(budget):
-        u, v = _block_witness_pair(view, rng.randrange(blocks))
-        if oracle.answer(Pair(u, v)).bit:
+        u = randrange(blocks) * stride
+        if answer(Pair(u, u + offset)).bit:
             return view.label_intersecting
     return view.label_disjoint
 
@@ -222,9 +259,9 @@ def _degree_scan(oracle, view: PublicView, budget: int, rng: random.Random) -> i
     the disjoint-side degree certifies the intersecting side."""
     blocks = view.params["blocks"]
     stride, offset, baseline = _block_probe_vertex(view)
+    answer, randrange = oracle.answer, rng.randrange
     for _ in range(budget):
-        v = offset + rng.randrange(blocks) * stride
-        if oracle.answer(Degree(v)).d != baseline:
+        if answer(Degree(offset + randrange(blocks) * stride)).d != baseline:
             return view.label_intersecting
     return view.label_disjoint
 
@@ -338,8 +375,7 @@ class CoupledTrials:
                 first, last = (0, hi) if ok else (1, 0)  # (1, 0): no budget
             delta[first] += 1
             delta[last + 1] -= 1
-            # a query costs 0 or 2 bits, so one byte each
-            per_trial_bits.append(bytes(e.bits for e in transcript.entries))
+            per_trial_bits.append(bytes(transcript.bits))
 
         run_distinguisher_trials(family, d, hi, trials, seed, on_trial=record)
         return cls(family, hi, trials, list(accumulate(delta[: hi + 1])), per_trial_bits)
@@ -379,9 +415,10 @@ def minimal_budget(
     some T reaches the target ends the search; the row comes from the same
     trials.  Returns (None, None) if no budget reaches the target."""
     cap = budget_cap if budget_cap is not None else 64 * family.n_bits
+    kept = _KeptTrials(family.kind, family.n_bits, family.promise, family.build)
     hi = 1
     while hi <= cap:
-        coupled = CoupledTrials.run(family, d, hi, trials, seed)
+        coupled = CoupledTrials.run(kept, d, hi, trials, seed)
         for t_star in range(1, hi + 1):
             if wilson_lower(coupled.successes[t_star], trials) >= target:
                 return t_star, coupled.row(t_star)

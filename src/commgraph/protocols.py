@@ -14,7 +14,7 @@ Any other access raises CapabilityViolation and aborts the run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 from .bits import BitVec
@@ -36,29 +36,42 @@ class TranscriptEntry(NamedTuple):
     bits: int
 
 
-@dataclass
 class Transcript:
-    entries: list[TranscriptEntry] = field(default_factory=list)
+    """Each query's kind and bit cost, in query order.
+
+    Kinds are kept in a list and costs in a ``bytearray``: every lazy rule
+    reads at most one input coordinate per query, so a query costs 0 or 2
+    bits.  ``entries`` builds the rows only when asked for them."""
+
+    __slots__ = ("kinds", "bits")
+
+    def __init__(self):
+        self.kinds: list[str] = []
+        self.bits = bytearray()
+
+    @property
+    def entries(self) -> list[TranscriptEntry]:
+        return list(map(TranscriptEntry, self.kinds, self.bits))
 
     @property
     def total_bits(self) -> int:
-        return sum(e.bits for e in self.entries)
+        return sum(self.bits)
 
     @property
     def query_count(self) -> int:
-        return len(self.entries)
+        return len(self.bits)
 
     @property
     def max_bits_per_query(self) -> int:
-        return max((e.bits for e in self.entries), default=0)
+        return max(self.bits, default=0)
 
     def csv_rows(self, trial: int) -> list[tuple]:
-        rows = []
-        cumulative = 0
-        for idx, e in enumerate(self.entries):
-            cumulative += e.bits
-            rows.append((trial, idx, e.query_kind, e.bits, cumulative))
-        return rows
+        return [
+            (trial, idx, kind, bits, cumulative)
+            for idx, (kind, bits, cumulative) in enumerate(
+                zip(self.kinds, self.bits, accumulate(self.bits))
+            )
+        ]
 
 
 TRANSCRIPT_CSV_HEADER = ("trial", "query_index", "query_kind", "bits", "cumulative_bits")
@@ -125,9 +138,9 @@ class ProtocolSession:
         finally:
             coords = self._current_coords
             self._current_coords = None
-        self.transcript.entries.append(
-            TranscriptEntry(query_kind(q), 2 * len(coords))
-        )
+        transcript = self.transcript
+        transcript.kinds.append(query_kind(q))
+        transcript.bits.append(2 * len(coords))
         return answer
 
 

@@ -240,6 +240,17 @@ def test_zero_trials_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
 
 
+def test_negative_budget_is_a_config_error(capsys):
+    assert run([
+        "simulate", "--kind", "triangle", "--l", "3", "--k", "1",
+        "--distinguisher", "edge-sample-tester", "--budget", "-4", "--trials", "5",
+        "--seed", "1",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be >= 0, got -4\n"
+
+
 def test_huge_moment_parameters_are_a_config_error(tmp_path, capsys):
     # d = floor(sqrt(m_tilde / n_side)) far exceeds n_side; finding it must
     # not go through floats, which overflow at 10^320

@@ -1,9 +1,15 @@
 """Prefix-coupled trials: one set of trials at budget hi stands for a
 separate run at every budget T <= hi, and the budget search pays for it
-once per doubling step, not once per probed budget."""
+once per doubling step, not once per probed budget.  Each trial's inputs
+and instance are drawn once per search, not once per step."""
+
+import dataclasses
+import gc
+import weakref
 
 import pytest
 
+from commgraph import experiments
 from commgraph.experiments import (
     CoupledTrials,
     distinguisher_by_name,
@@ -69,3 +75,52 @@ def test_sweep_work_is_within_4x_of_the_reported_queries(monkeypatch):
     # every pair-probe query costs 2 bits
     reported = sum(r.trials * r.mean_bits / 2 for r in rows)
     assert calls <= 4 * reported, (calls, reported)
+
+
+def test_sweep_draws_and_builds_each_trial_once_per_grid_point(monkeypatch):
+    gen = experiments.gen_promise_instance
+    drawn, builds = [], 0
+
+    def counting_gen(*args):
+        drawn.append(args)
+        return gen(*args)
+
+    def family_for(n):
+        family = clique_hiding_family(blocks=n, l=2, base_n=2, base_m=1)
+
+        def build(pp):
+            nonlocal builds
+            builds += 1
+            return family.build(pp)
+
+        return dataclasses.replace(family, build=build)
+
+    monkeypatch.setattr(experiments, "gen_promise_instance", counting_gen)
+    rows = threshold_sweep(
+        family_for, [16, 32, 64], distinguisher_by_name("pair-probe"), seed=3, trials=200
+    )
+    assert len(rows) == 3
+    assert len(drawn) == len(set(drawn)) == builds == 600
+
+
+def test_one_shot_trials_keep_one_instance_alive_at_a_time():
+    family = triangle_family(l=4, k=2)
+    refs, events = [], []
+
+    def build(pp):
+        events.append(("build", len(refs)))
+        inst = family.build(pp)
+        refs.append(weakref.ref(inst))
+        return inst
+
+    def on_trial(t, output, truth, transcript, view):
+        events.append(("trial", t))
+        gc.collect()  # a finished session and its input guards form a cycle
+        assert [i for i, ref in enumerate(refs) if ref() is not None] == [t]
+
+    run_distinguisher_trials(
+        dataclasses.replace(family, build=build),
+        distinguisher_by_name("edge-sample-tester"),
+        budget=8, trials=6, seed=2, on_trial=on_trial,
+    )
+    assert events == [(kind, t) for t in range(6) for kind in ("build", "trial")]

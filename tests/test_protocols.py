@@ -26,6 +26,7 @@ from commgraph.protocols import (
     CapabilityViolation,
     ProtocolSession,
     ReductionOracle,
+    TranscriptEntry,
     run_reduction,
     simulate_query,
 )
@@ -73,6 +74,40 @@ def test_random_edge_costs_at_most_two_bits():
         simulate_query(sess, inst, RandomEdge())
     assert all(e.bits <= 2 for e in sess.transcript.entries)
     assert any(e.bits == 0 for e in sess.transcript.entries)  # witness-set hits
+
+
+def test_transcript_agrees_with_the_queries_and_exchanged_coordinates():
+    inst = triangle_instance(seed=5)
+    sess = ProtocolSession(inst, seed=9)
+    exchange = sess.exchange
+    coords = set()
+
+    def counting_exchange(coord):
+        coords.add(coord)
+        return exchange(coord)
+
+    sess.exchange = counting_exchange
+    names = {Degree: "degree", Neighbor: "neighbor", Pair: "pair", RandomEdge: "random_edge"}
+    rng = random.Random(4)
+    kinds, costs = [], []
+    for _ in range(80):
+        u, v = rng.randrange(inst.n), rng.randrange(inst.n)
+        q = rng.choice([Degree(u), Neighbor(u, rng.randrange(1, inst.n)), Pair(u, v),
+                        RandomEdge()])
+        coords.clear()
+        simulate_query(sess, inst, q)
+        kinds.append(names[type(q)])
+        costs.append(2 * len(coords))
+    assert set(kinds) == set(names.values())
+    assert set(costs) == {0, 2}
+    t = sess.transcript
+    assert t.entries == [TranscriptEntry(k, b) for k, b in zip(kinds, costs)]
+    assert t.csv_rows(7) == [
+        (7, idx, k, b, sum(costs[: idx + 1])) for idx, (k, b) in enumerate(zip(kinds, costs))
+    ]
+    assert t.total_bits == sum(costs)
+    assert t.query_count == len(kinds)
+    assert t.max_bits_per_query == max(costs)
 
 
 def test_transcript_totals():
