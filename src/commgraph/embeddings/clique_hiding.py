@@ -21,6 +21,7 @@ from typing import Optional
 from ..families import base_graph_from_json, base_graph_to_json, lex_graph
 from ..graph import ExplicitGraph
 from ..promises import PromisePair
+from ..verify import VerificationReport
 from .base import Embedding, JointAccess, ParameterError
 
 
@@ -142,6 +143,28 @@ class CliqueHidingEmbedding(Embedding):
         if self.augment:
             m += self.n - 1 - self.base.degree(0)
         return m
+
+    def claims(self, g: ExplicitGraph) -> list[VerificationReport]:
+        m, baseline = g.m, self.baseline_edge_count()
+        if self.pp.intersecting:
+            gain = comb(self.l, 2)
+            side = VerificationReport(
+                "edge_count", m, f"m >= baseline + {gain}", m >= baseline + gain
+            )
+        else:
+            side = VerificationReport("edge_count", m, "m == baseline", m == baseline)
+        return [self.edge_count_report(g), side]
+
+    @property
+    def witness_pair(self) -> Optional[tuple[int, int]]:
+        """Block j's first two vertices, adjacent only when j is shared;
+        blocks of one vertex have no pair."""
+        return (self.l, 1) if self.l >= 2 else None
+
+    @property
+    def probe_vertex(self) -> tuple[int, int, int]:
+        """Block j's first vertex gains l - 1 neighbors when j is shared."""
+        return self.l, 0, 1 if self.augment else 0
 
     def params_json(self) -> dict:
         return {

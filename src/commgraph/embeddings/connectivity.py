@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..graph import ExplicitGraph
 from ..promises import PromisePair
+from ..verify import VerificationReport, connected_components, min_cut
 from .base import GridEmbedding, JointAccess, ParameterError
 
 
@@ -111,6 +113,15 @@ class ConnectivityEmbedding(GridEmbedding):
 
     def edge_count(self) -> int:
         return 2 * self.l * self.l + self.k * self.n_c
+
+    def claims(self, g: ExplicitGraph) -> list[VerificationReport]:
+        if self.pp.intersecting:
+            cut = min_cut(g)
+            gap = VerificationReport("min_cut", cut, f"min cut >= {self.k}", cut >= self.k)
+        else:
+            comps = connected_components(g)
+            gap = VerificationReport("connected_components", comps, "components >= 2", comps >= 2)
+        return [self.edge_count_report(g), gap]
 
     def params_json(self) -> dict:
         return {

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..graph import ExplicitGraph
 from ..promises import PromisePair
+from ..verify import VerificationReport
 from .base import Embedding, JointAccess, ParameterError
 
 
@@ -101,6 +103,22 @@ class DegreeOnlyEmbedding(Embedding):
 
     def edge_count(self) -> int:
         return (self.n * self.k) // 3 if self._hot is None else (2 * self.n * self.k) // 3
+
+    def claims(self, g: ExplicitGraph) -> list[VerificationReport]:
+        n, k, m = self.n, self.k, g.m
+        want = 2 * n * k // 3 if self.pp.intersecting else n * k // 3
+        degrees = g.degrees()
+        vw_ok = all(degrees[v] == k for v in range(self.third, n))
+        return [
+            self.edge_count_report(g),
+            VerificationReport("edge_count", m, f"m == {want}", m == want),
+            VerificationReport("degree_table", k, "every V,W vertex has degree k", vw_ok),
+        ]
+
+    @property
+    def probe_vertex(self) -> tuple[int, int, int]:
+        """U_j's first vertex is joined to all of V and W when j is shared."""
+        return self.k, 0, 0
 
     def params_json(self) -> dict:
         return {

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
+from ..graph import ExplicitGraph
 from ..promises import PromisePair
-from .base import Embedding, JointAccess, ParameterError, least_at_least
+from ..verify import VerificationReport, moment
+from .base import Embedding, JointAccess, ParameterError, least_at_least, moment_claims
 
 
 def _floor_root(value: int, s: int) -> int:
@@ -219,15 +221,26 @@ class MomentsBlockEmbedding(Embedding):
 
     def expected_moment(self) -> int:
         """Exact analytic s-th moment for this instance's promise side."""
-        base = 2 * self.n_side * self.d**self.s + self.alpha * (self.alpha - 1) ** self.s
-        if self.pp.intersecting:
-            base += self.w_size * self.chunk_size**self.s
-        return base
+        return self.moment_both_sides()[self.pp.intersecting]
 
     def moment_both_sides(self) -> tuple[int, int]:
         """(disjoint, intersecting) analytic moments for these parameters."""
         quiet = 2 * self.n_side * self.d**self.s + self.alpha * (self.alpha - 1) ** self.s
         return quiet, quiet + self.w_size * self.chunk_size**self.s
+
+    def claims(self, g: ExplicitGraph) -> list[VerificationReport]:
+        m_s, c = moment(g, self.s), self.c
+        quiet, loud = self.moment_both_sides()
+        if self.pp.intersecting:
+            claim = f"3*M_s >= c*disjoint-side M_s = {c * quiet}"
+            return moment_claims(self, g, m_s, claim, 3 * m_s >= c * quiet)
+        claim = f"3*intersecting-side M_s = {3 * loud} >= c*M_s"
+        return moment_claims(self, g, m_s, claim, 3 * loud >= c * m_s)
+
+    @property
+    def probe_vertex(self) -> tuple[int, int, int]:
+        """W_j's first vertex gains chunk_size neighbors when j is shared."""
+        return self.w_size, self.w0, 0
 
     def params_json(self) -> dict:
         return {

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
+from ..graph import ExplicitGraph
 from ..promises import PromisePair
+from ..verify import VerificationReport, count_r_cliques, count_triangles
 from .base import GridEmbedding, JointAccess, ParameterError, least_at_least
 
 
@@ -205,6 +207,29 @@ class RCliqueEmbedding(GridEmbedding):
         active transversal of the S sets."""
         return self.pp.overlap * prod(self.active)
 
+    def clique_count(self, g: ExplicitGraph) -> tuple[str, str, int]:
+        """(report name, symbol, r-clique count of g)."""
+        return f"r_clique_count({self.r})", "C_r", count_r_cliques(g, self.r)
+
+    def claims(self, g: ExplicitGraph) -> list[VerificationReport]:
+        name, symbol, count = self.clique_count(g)
+        expected = self.expected_clique_count()  # 0 on the disjoint side
+        if self.pp.intersecting:
+            side = VerificationReport(name, count, f"{symbol} >= {expected}", count >= expected)
+        else:
+            side = VerificationReport(name, count, f"{symbol} == 0", count == 0)
+        return [
+            self.edge_count_report(g),
+            VerificationReport(name, count, f"{symbol} == {expected}", count == expected),
+            side,
+        ]
+
+    @property
+    def witness_edges(self) -> tuple[tuple[int, int, int, int], ...]:
+        """A-B edges only."""
+        l = self.l
+        return ((0, l, self.p0, self.p0 + l),)
+
     def params_json(self) -> dict:
         return {
             "r": self.r,
@@ -244,6 +269,9 @@ class TriangleEmbedding(RCliqueEmbedding):
         """Exact triangle count: every triangle is {a, b, s} over a shared
         coordinate's A-B edge."""
         return self.expected_clique_count()
+
+    def clique_count(self, g: ExplicitGraph) -> tuple[str, str, int]:
+        return "triangle_count", "C3", count_triangles(g)
 
     def params_json(self) -> dict:
         return {

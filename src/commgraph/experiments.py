@@ -1,10 +1,13 @@
 """Distinguisher harnesses, threshold sweeps, and the sampling amplifier.
 
 A distinguisher sees only the construction's public shape (kind, sizes,
-derived parameters) and an oracle whose every answer goes through the
-two-party simulation, so the inputs are reachable only via transcripted
-queries.  Success rates are judged against Wilson lower confidence
-bounds to keep thresholds stable under finite-trial noise.
+derived parameters and the witnesses the construction declares) and an
+oracle whose every answer goes through the two-party simulation, so the
+inputs are reachable only via transcripted queries.  Each reference
+distinguisher reads one declared witness, and it supports exactly the
+kinds whose construction declares it; nothing here depends on a kind's
+name.  Success rates are judged against Wilson lower confidence bounds
+to keep thresholds stable under finite-trial noise.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
+from .embeddings import EMBEDDING_CLASSES
 from .embeddings.base import Embedding, ParameterError
 from .graph import Degree, Pair, RandomEdge
 from .promises import Promise, PromisePair, gen_promise_instance
@@ -28,13 +32,17 @@ AMPLIFIER_SAMPLES = 7
 @dataclass(frozen=True)
 class PublicView:
     """What an algorithm may know about an instance: everything except the
-    two parties' inputs."""
+    two parties' inputs.  The witness fields are the construction's
+    declarations (see ``Embedding``), None where it declares none."""
 
     kind: str
     n: int
     params: dict
     label_intersecting: int
     label_disjoint: int
+    witness_pair: Optional[tuple]
+    probe_vertex: Optional[tuple]
+    witness_edges: Optional[tuple]
 
     @classmethod
     def of(cls, inst: Embedding) -> "PublicView":
@@ -44,13 +52,16 @@ class PublicView:
             params=inst.params_json(),
             label_intersecting=inst.label_for(True),
             label_disjoint=inst.label_for(False),
+            witness_pair=inst.witness_pair,
+            probe_vertex=inst.probe_vertex,
+            witness_edges=inst.witness_edges,
         )
 
 
 @dataclass(frozen=True)
 class Distinguisher:
     """A query algorithm ``run(oracle, view, budget, rng) -> label`` and the
-    kinds it supports.
+    witness it ``reads``: the ``PublicView`` field it looks for.
 
     The prefix contract: a distinguisher answers ``view.label_intersecting``
     exactly when one of its queries showed a witness, and it stops at that
@@ -64,8 +75,15 @@ class Distinguisher:
     """
 
     name: str
-    supports: frozenset
+    reads: str
     run: Callable[[ReductionOracle, PublicView, int, random.Random], int]
+
+    @property
+    def supports(self) -> frozenset:
+        """The kinds whose construction declares the witness it reads."""
+        return frozenset(
+            kind for kind, cls in EMBEDDING_CLASSES.items() if getattr(cls, self.reads) is not None
+        )
 
     def __repr__(self) -> str:
         return f"Distinguisher({self.name})"
@@ -170,7 +188,7 @@ def run_distinguisher_trials(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if d.supports and family.kind not in d.supports:
+    if family.kind not in d.supports:
         raise ValueError(f"{d.name} does not support {family.kind}")
     successes = 0
     total_bits = 0
@@ -211,26 +229,15 @@ def run_distinguisher_trials(
 # reference distinguishers
 
 
-def _block_witness_pair(view: PublicView) -> tuple[int, int]:
-    """(block stride, offset): block j's witness pair is (u, u + offset)
-    with u = j * stride."""
-    if view.kind == "clique-hiding":
-        l = view.params["l"]
-        if l < 2:
-            raise ValueError("pair probing needs blocks of size >= 2")
-        return l, 1
-    if view.kind == "moments-hiding":
-        return view.params["block_size"], view.params["p"]
-    raise ValueError(f"no in-block witness pair for {view.kind}")
-
-
 def _pair_probe(oracle, view: PublicView, budget: int, rng: random.Random) -> int:
     """Probe the witness pair of a uniformly random block per query; a
     positive answer certifies the intersecting side."""
     if budget < 1:  # no query, so no witness pair is needed
         return view.label_disjoint
+    if view.witness_pair is None:
+        raise ValueError("pair probing needs blocks of size >= 2")
     blocks = view.params["blocks"]
-    stride, offset = _block_witness_pair(view)
+    stride, offset = view.witness_pair
     answer, randrange = oracle.answer, rng.randrange
     for _ in range(budget):
         u = randrange(blocks) * stride
@@ -239,26 +246,11 @@ def _pair_probe(oracle, view: PublicView, budget: int, rng: random.Random) -> in
     return view.label_disjoint
 
 
-def _block_probe_vertex(view: PublicView) -> tuple[int, int, int]:
-    """(vertex stride, offset, disjoint-side degree) for degree scanning."""
-    if view.kind == "degree-only":
-        return view.params["k"], 0, 0
-    if view.kind == "clique-hiding":
-        base = 1 if view.params["augment_connect"] else 0
-        return view.params["l"], 0, base
-    if view.kind == "moments-hiding":
-        return view.params["block_size"], 0, 0
-    if view.kind == "moments-block":
-        w0 = 2 * view.params["n_side"] + view.params["alpha"]
-        return view.params["w_size"], w0, 0
-    raise ValueError(f"no degree tell for {view.kind}")
-
-
 def _degree_scan(oracle, view: PublicView, budget: int, rng: random.Random) -> int:
-    """Degree-probe one block representative per query; any deviation from
+    """Degree-probe one block's probe vertex per query; any deviation from
     the disjoint-side degree certifies the intersecting side."""
     blocks = view.params["blocks"]
-    stride, offset, baseline = _block_probe_vertex(view)
+    stride, offset, baseline = view.probe_vertex
     answer, randrange = oracle.answer, rng.randrange
     for _ in range(budget):
         if answer(Degree(offset + randrange(blocks) * stride)).d != baseline:
@@ -266,44 +258,22 @@ def _degree_scan(oracle, view: PublicView, budget: int, rng: random.Random) -> i
     return view.label_disjoint
 
 
-def _cross_edge_test(view: PublicView, u: int, v: int) -> bool:
-    l = view.params["l"]
-    if view.kind in ("triangle", "r-clique"):
-        return u < l and 2 * l <= v < 3 * l  # an A-B edge
-    if view.kind == "connectivity":
-        a_bp = u < l and 3 * l <= v < 4 * l  # A-B'
-        ap_b = l <= u < 2 * l and 2 * l <= v < 3 * l  # A'-B
-        return a_bp or ap_b
-    raise ValueError(f"no cross-edge witness for {view.kind}")
-
-
 def _edge_sample_tester(oracle, view: PublicView, budget: int, rng: random.Random) -> int:
-    """Draw uniform edges; any edge crossing between the input-coupled sides
-    exists only when the inputs intersect."""
+    """Draw uniform edges; an edge inside the declared witness ranges exists
+    only when the inputs intersect."""
+    ranges = view.witness_edges
     for _ in range(budget):
-        e = oracle.answer(RandomEdge())
-        if _cross_edge_test(view, e.u, e.v):
+        u, v = oracle.answer(RandomEdge())
+        if any(a <= u < b and c <= v < d for a, b, c, d in ranges):
             return view.label_intersecting
     return view.label_disjoint
 
 
 def reference_distinguishers() -> list[Distinguisher]:
     return [
-        Distinguisher(
-            "pair-probe",
-            frozenset({"clique-hiding", "moments-hiding"}),
-            _pair_probe,
-        ),
-        Distinguisher(
-            "degree-scan",
-            frozenset({"degree-only", "clique-hiding", "moments-hiding", "moments-block"}),
-            _degree_scan,
-        ),
-        Distinguisher(
-            "edge-sample-tester",
-            frozenset({"triangle", "r-clique", "connectivity"}),
-            _edge_sample_tester,
-        ),
+        Distinguisher("pair-probe", "witness_pair", _pair_probe),
+        Distinguisher("degree-scan", "probe_vertex", _degree_scan),
+        Distinguisher("edge-sample-tester", "witness_edges", _edge_sample_tester),
     ]
 
 

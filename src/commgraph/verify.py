@@ -1,9 +1,13 @@
 """Independent exact verifiers for every gap claim.
 
-Everything here works on materialized graphs with exact integer or
-rational arithmetic; no floating point.  These are the second route
-against which the constructions' analytic claims are certified, so none
-of them share code with the lazy rules.
+The kernels here (triangle and r-clique counts, min cut, components,
+degree moments, arboricity bounds) work on materialized graphs with
+exact integer or rational arithmetic; no floating point.  They are the
+second route against which the constructions' analytic claims are
+certified, so none of them share code with the lazy rules.  Each
+construction states its own claims (``Embedding.claims``) and measures
+them with these kernels; ``verify_instance`` checks the graph itself and
+then reports those claims.
 """
 
 from __future__ import annotations
@@ -11,11 +15,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .embeddings.base import Embedding, MaterializationCapExceeded
 from .graph import ExplicitGraph, dump_edge_list, load_edge_list, validate_graph
+
+if TYPE_CHECKING:  # the constructions import this module for their claims
+    from .embeddings.base import Embedding
 
 
 class VerifyBudgetExceeded(RuntimeError):
@@ -404,7 +409,7 @@ def check_alpha_bounds(
 
 
 # ---------------------------------------------------------------------------
-# per-construction gap certification
+# gap certification
 
 
 def verify_instance(
@@ -417,8 +422,11 @@ def verify_instance(
     the instance's own materialization, so any mutation shows up.  Text
     that equals the materialization's ``dump_edge_list`` is not parsed: the
     claims run on the materialization itself.  A graph that fails
-    ``valid_graph`` gets only those two reports.
+    ``valid_graph`` gets only those two reports; any other gets the
+    instance's own ``claims`` after them.
     """
+    from .embeddings.base import MaterializationCapExceeded
+
     reports = []
     if g is None:
         g = inst.materialize()
@@ -444,91 +452,6 @@ def verify_instance(
         VerificationReport("valid_graph", len(findings), "no invariant findings", not findings)
     )
     if findings:
-        # the kernels below assume a simple, symmetric graph
+        # the claims' kernels assume a simple, symmetric graph
         return reports
-    m = g.m
-    overlap = inst.pp.overlap
-    intersecting = inst.pp.intersecting
-    kind = inst.kind
-    if kind in ("triangle", "r-clique", "connectivity", "degree-only"):
-        expected_m = inst.edge_count()
-        reports.append(VerificationReport("edge_count", m, f"m == {expected_m}", m == expected_m))
-
-    if kind == "clique-hiding":
-        baseline = inst.baseline_edge_count()
-        expected = baseline + comb(inst.l, 2) * overlap
-        reports.append(VerificationReport("edge_count", m, f"m == {expected}", m == expected))
-        if intersecting:
-            gain = comb(inst.l, 2)
-            claim = f"m >= baseline + {gain}"
-            reports.append(VerificationReport("edge_count", m, claim, m >= baseline + gain))
-        else:
-            reports.append(VerificationReport("edge_count", m, "m == baseline", m == baseline))
-    elif kind == "triangle":
-        c3 = count_triangles(g)
-        expected_c3 = inst.expected_triangle_count()
-        reports.append(
-            VerificationReport("triangle_count", c3, f"C3 == {expected_c3}", c3 == expected_c3)
-        )
-        side = f"C3 >= {inst.k * inst.s_size}" if intersecting else "C3 == 0"
-        ok = c3 >= inst.k * inst.s_size if intersecting else c3 == 0
-        reports.append(VerificationReport("triangle_count", c3, side, ok))
-    elif kind == "r-clique":
-        cr = count_r_cliques(g, inst.r)
-        expected_cr = inst.expected_clique_count()
-        name = f"r_clique_count({inst.r})"
-        reports.append(VerificationReport(name, cr, f"C_r == {expected_cr}", cr == expected_cr))
-        witnesses = inst.expected_clique_count() if intersecting else 0
-        side = f"C_r >= {witnesses}" if intersecting else "C_r == 0"
-        ok = cr >= witnesses if intersecting else cr == 0
-        reports.append(VerificationReport(name, cr, side, ok))
-    elif kind == "connectivity":
-        if intersecting:
-            cut = min_cut(g)
-            claim = f"min cut >= {inst.k}"
-            reports.append(VerificationReport("min_cut", cut, claim, cut >= inst.k))
-        else:
-            comps = connected_components(g)
-            reports.append(
-                VerificationReport("connected_components", comps, "components >= 2", comps >= 2)
-            )
-    elif kind == "degree-only":
-        low, high = (inst.n * inst.k) // 3, (2 * inst.n * inst.k) // 3
-        want = high if intersecting else low
-        reports.append(VerificationReport("edge_count", m, f"m == {want}", m == want))
-        degs = g.degrees()
-        vw_ok = all(degs[v] == inst.k for v in range(inst.third, inst.n))
-        reports.append(
-            VerificationReport("degree_table", inst.k, "every V,W vertex has degree k", vw_ok)
-        )
-    elif kind == "moments-hiding":
-        m_s = moment(g, inst.s)
-        expected = inst.expected_moment()
-        name = f"moment({inst.s})"
-        reports.append(VerificationReport(name, m_s, f"M_s == {expected}", m_s == expected))
-        if intersecting:
-            bound = (1 + inst.c) * inst.m_tilde
-            reports.append(VerificationReport(name, m_s, f"M_s >= {bound}", m_s >= bound))
-        else:
-            claim = f"M_s == {inst.m_tilde}"
-            reports.append(VerificationReport(name, m_s, claim, m_s == inst.m_tilde))
-        if inst.s >= 2:
-            reports.append(check_alpha_bounds(g, inst.s))
-    elif kind == "moments-block":
-        m_s = moment(g, inst.s)
-        expected = inst.expected_moment()
-        name = f"moment({inst.s})"
-        reports.append(VerificationReport(name, m_s, f"M_s == {expected}", m_s == expected))
-        quiet, loud = inst.moment_both_sides()
-        if intersecting:
-            ok = 3 * m_s >= inst.c * quiet
-            claim = f"3*M_s >= c*disjoint-side M_s = {inst.c * quiet}"
-        else:
-            ok = 3 * loud >= inst.c * m_s
-            claim = f"3*intersecting-side M_s = {3 * loud} >= c*M_s"
-        reports.append(VerificationReport(name, m_s, claim, ok))
-        if inst.s >= 2:
-            reports.append(check_alpha_bounds(g, inst.s))
-    else:
-        raise ValueError(f"no verifier suite for kind {kind!r}")
-    return reports
+    return reports + inst.claims(g)

@@ -1,12 +1,16 @@
+import gc
 import json
 import random
+from types import ModuleType
 
 import pytest
 
+from commgraph.bits import BitVec
 from commgraph.cli import main
-from commgraph.embeddings import LazyOracle, MaterializationCapExceeded
-from commgraph.experiments import PublicView
+from commgraph.embeddings import ALL_KINDS, Embedding, LazyOracle, MaterializationCapExceeded
+from commgraph.experiments import PublicView, reference_distinguishers
 from commgraph.graph import Degree, ExplicitOracle
+from commgraph.promises import PromisePair
 
 from helpers import random_instance
 
@@ -29,12 +33,53 @@ def test_explicit_oracle_counts_queries():
     assert oracle.queries_made == 2
 
 
-def test_public_view_hides_inputs():
-    inst = random_instance("clique-hiding", 9)
-    view = PublicView.of(inst)
-    blob = json.dumps(view.params)
-    assert not hasattr(view, "pp")
-    assert "\"x\"" not in blob and "\"y\"" not in blob
+def _reachable(root) -> list:
+    """Every object reachable from root by reference, not descending into
+    classes, modules or callables (a callable found is reported as is)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if not callable(obj):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_public_view_hides_inputs(kind):
+    for seed in range(4):
+        inst = random_instance(kind, seed)
+        view = PublicView.of(inst)
+        blob = json.dumps(view.params)
+        assert not hasattr(view, "pp")
+        assert "\"x\"" not in blob and "\"y\"" not in blob
+        leaks = [
+            obj for obj in _reachable(view)
+            if isinstance(obj, (Embedding, PromisePair, BitVec)) or callable(obj)
+        ]
+        assert leaks == [], (kind, seed)
+
+
+def test_distinguishers_support_the_kinds_declaring_their_witness():
+    supports = {d.name: d.supports for d in reference_distinguishers()}
+    assert supports == {
+        "pair-probe": {"clique-hiding", "moments-hiding"},
+        "degree-scan": {"degree-only", "clique-hiding", "moments-hiding", "moments-block"},
+        "edge-sample-tester": {"triangle", "r-clique", "connectivity"},
+    }
+
+
+def test_simulate_refuses_a_kind_without_the_witness(capsys):
+    code = main([
+        "simulate", "--kind", "triangle", "--l", "4", "--k", "2",
+        "--distinguisher", "pair-probe", "--budget", "8", "--trials", "4", "--seed", "1",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "pair-probe" in err and "triangle" in err, err
 
 
 def test_materialization_cap_env(tmp_path, monkeypatch):
