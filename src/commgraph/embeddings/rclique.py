@@ -2,8 +2,8 @@
 complete witness sets; triangle is the r = 3 case.
 
 The gadget's four groups are A, A', B = P and B' = Q (see
-``GridEmbedding``): a shared coordinate (i, j) joins a_i to b_j, and
-nothing else ever joins the A side to the B side.  S_1 .. S_(r-2) of
+``GridEmbedding``): a shared coordinate (i, j) joins a_i to b_j and a'_j
+to b'_i, and nothing else ever joins A or A' to B or B'.  S_1 .. S_(r-2) of
 ``s_size`` vertices each (default l) are pairwise completely joined, and
 every A and B vertex is adjacent to all of S, so each shared coordinate's
 (a_i, b_j) edge completes one r-clique per transversal of the S sets:
@@ -223,12 +223,6 @@ class RCliqueEmbedding(GridEmbedding):
             VerificationReport(name, count, f"{symbol} == {expected}", count == expected),
             side,
         ]
-
-    @property
-    def witness_edges(self) -> tuple[tuple[int, int, int, int], ...]:
-        """A-B edges only."""
-        l = self.l
-        return ((0, l, self.p0, self.p0 + l),)
 
     def params_json(self) -> dict:
         return {

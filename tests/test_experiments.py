@@ -152,9 +152,10 @@ def test_triangle_family_bits_bounded():
 
 
 def test_edge_sampler_with_heavy_hidden_mass():
-    # k = l^2 shared coordinates puts one quarter of all edges in the
-    # input-coupled region, so even a 7-draw budget detects reliably:
-    # miss probability (3/4)^7 on the intersecting side only
+    # k = l^2 shared coordinates puts one half of all edges (every A-B and
+    # A'-B' edge) in the input-coupled region, so even a 7-draw budget
+    # detects reliably: miss probability (1/2)^7 on the intersecting side
+    # only.  The bound below is the one-quarter rate's, which still holds.
     family = triangle_family(l=4, k=16)
     d = distinguisher_by_name("edge-sample-tester")
     row = run_distinguisher_trials(family, d, budget=7, trials=300, seed=16)

@@ -153,14 +153,14 @@ DIGESTS = {
     "gen:degree-only/promise-disjoint": "13e2bd35e1460853aae06562fba3bcd1392a59780e9173bf5660407dffcf6e2d",
     "simulate:pair-probe": "0f9787bd5dad5cc1ac260c1359ac335ec81edea82c2f0487f95bdd17ba9d1e01",
     "simulate:degree-scan": "9ba58d7bcc8cb907eb4db206fab65f36480d28e9a0379fdf8d3b1c0c062a82f5",
-    "simulate:edge-sample-tester": "bbfd8bf3ad0bc9e45eb60fe0170609d43105f42834516ca2ce47b17049cf485e",
+    "simulate:edge-sample-tester": "6f420bf3fecb920ebc2a669cf17688545cac8af96230eab4f26f20abce9af497",
     "sweep:clique-hiding": "02bde867d14b7de11e807965c33c3fd8e3ab213c23960596b29a9c4bfedbedcb",
-    "sweep:triangle": "6eb082fc5bba54c93f0ae19b2d1fc017322c1d1c03fc912bd9c16a1dfdac7825",
+    "sweep:triangle": "20499785365a59c758ac0fed528eb2fb3ee16c1f5a88ac18c6c3d61d8f177ac1",
     "gen:triangle/s-size-above-l": "cdb9ac1e49826d54c0a8ea3c3b820c54bec5209e28fc852e9c275ab498851fea",
     "gen:connectivity/n-below-4l/intersecting": "66f08d2c8d63c4e7dc6ec0528990bb5c97ff43f8170b82704cdff3418982b39a",
     "gen:connectivity/n-below-4l/disjoint": "1a6d59e10a09a81c8b37f761761c774c81a2847ce7781ea6d230bc826ca8a7f9",
-    "simulate:edge-sample-tester/r-clique": "4b85754e6427b0aa802e03ac7fc7778c7094466d0a623246b29f8bb5e8771df7",
-    "simulate:edge-sample-tester/r-clique-s-clique-budget": "d709ecf318e29d2212bebd379405d5ebe7d0d74071a4b2d72b516150b4ae9c5b",
+    "simulate:edge-sample-tester/r-clique": "64941be361dbcd85b6501db3fca7f5afc55ca2b9c518969fd949b79dace096f4",
+    "simulate:edge-sample-tester/r-clique-s-clique-budget": "a9627ba0597e9d3d28fe6776bd0f81715681741bf93a271900e416d78e0a4ec9",
     "simulate:edge-sample-tester/connectivity": "f8f46ce7663c6ec5a5b9bc7e10825d0885a22a21fe0932854c6a2d4261b30931",
     "help:gen": "42469504a4ccbf8cfbfab7e27aefdf368a789fc341e6e036c6a0349f0d151fc4",
 }
