@@ -78,17 +78,21 @@ TRANSCRIPT_CSV_HEADER = ("trial", "query_index", "query_kind", "bits", "cumulati
 
 
 class _GuardedBits:
-    """Read access restricted to the owning party's active context."""
+    """Read access restricted to the owning party's active context.
 
-    __slots__ = ("_bits", "_owner", "_session")
+    ``active`` is the session's one-element cell naming the party whose
+    code runs.  The guard holds that cell, not the session, so a finished
+    session is freed at once rather than by the cyclic collector."""
 
-    def __init__(self, bits: BitVec, owner: str, session: "ProtocolSession"):
+    __slots__ = ("_bits", "_owner", "_active")
+
+    def __init__(self, bits: BitVec, owner: str, active: list):
         self._bits = bits
         self._owner = owner
-        self._session = session
+        self._active = active
 
     def __getitem__(self, i: int) -> int:
-        if self._session._active_party != self._owner:
+        if self._active[0] != self._owner:
             raise CapabilityViolation(
                 f"{self._owner}'s input read outside {self._owner}'s context"
             )
@@ -107,11 +111,11 @@ class ProtocolSession:
 
     def __init__(self, inst: Embedding, seed: int):
         self.instance = inst
-        self.alice_input = _GuardedBits(inst.pp.x, "alice", self)
-        self.bob_input = _GuardedBits(inst.pp.y, "bob", self)
+        self._active: list[Optional[str]] = [None]  # the party whose code runs
+        self.alice_input = _GuardedBits(inst.pp.x, "alice", self._active)
+        self.bob_input = _GuardedBits(inst.pp.y, "bob", self._active)
         self.shared_rng = random.Random(derive_seed(seed, 0xA))
         self.transcript = Transcript()
-        self._active_party: Optional[str] = None
         self._current_coords: Optional[set[int]] = None
 
     def exchange(self, coord: int) -> int:
@@ -120,14 +124,15 @@ class ProtocolSession:
         coords = self._current_coords
         if coords is None:
             raise RuntimeError("exchange outside of a query simulation")
-        previous = self._active_party
+        active = self._active
+        previous = active[0]
         try:
-            self._active_party = "alice"
+            active[0] = "alice"
             xb = self.alice_input[coord]
-            self._active_party = "bob"
+            active[0] = "bob"
             yb = self.bob_input[coord]
         finally:
-            self._active_party = previous
+            active[0] = previous
         coords.add(coord)
         return xb & yb
 

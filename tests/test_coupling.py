@@ -4,7 +4,6 @@ once per doubling step, not once per probed budget.  Each trial's inputs
 and instance are drawn once per search, not once per step."""
 
 import dataclasses
-import gc
 import weakref
 
 import pytest
@@ -115,7 +114,6 @@ def test_one_shot_trials_keep_one_instance_alive_at_a_time():
 
     def on_trial(t, output, truth, transcript, view):
         events.append(("trial", t))
-        gc.collect()  # a finished session and its input guards form a cycle
         assert [i for i, ref in enumerate(refs) if ref() is not None] == [t]
 
     run_distinguisher_trials(
