@@ -1,6 +1,6 @@
 """The seven gap-instance constructions, their kind registry and their
 JSON round-trip.  ``EMBEDDING_CLASSES`` is the one place that maps a kind
-name to its construction; each class declares its own flags."""
+name to its construction; each class declares its flags, claims and witnesses."""
 
 from __future__ import annotations
 

@@ -29,7 +29,7 @@ from ..graph import (
     sample_edge_by_degrees,
 )
 from ..promises import Disjoint, KIntersectOrDisjoint, PromisePair, UniqueIntersection
-from ..verify import VerificationReport, check_alpha_bounds, moment
+from ..verify import VerificationReport
 
 JointAccess = Callable[[int], int]
 
@@ -88,11 +88,8 @@ class Embedding:
     sweep size N sets (``swept``, via ``swept_value``).  The promise
     follows from ``comm_function``: a ``disj`` construction takes a
     ``promise`` flag naming disjoint or unique-intersection, an
-    ``inter_k`` one the {0, k} promise of its ``k`` parameter.  Next to
-    its lazy rules and analytic counts it states the gap it exhibits
-    (``claims``) and the witnesses a cheap query finds only on the
-    intersecting side (``witness_pair``, ``probe_vertex``,
-    ``witness_edges``).
+    ``inter_k`` one the {0, k} promise of its ``k`` parameter.  It also
+    states its gap (``claims``) and the witnesses it hides (below).
     """
 
     kind: str = "abstract"
@@ -180,9 +177,8 @@ class Embedding:
     # -- the gap claims and the witnesses ---------------------------------
 
     def claims(self, g: ExplicitGraph) -> list[VerificationReport]:
-        """The reports certifying this instance's gap on g, a simple graph
-        that should be its materialization: each value measured on g by a
-        ``verify`` kernel, each claim from the analytic counts above."""
+        """This instance's gap claims, each from the analytic counts above,
+        checked on g, a simple graph, by ``verify``'s kernels."""
         raise NotImplementedError
 
     def edge_count_report(self, g: ExplicitGraph) -> VerificationReport:
@@ -190,8 +186,8 @@ class Embedding:
         return VerificationReport("edge_count", g.m, f"m == {expected}", g.m == expected)
 
     # The witnesses the reference distinguishers read, from the parameters
-    # alone; a construction declares one by overriding its None with a
-    # property.  Each shows only when the inputs intersect.
+    # alone and shown only when the inputs intersect; a construction
+    # declares one by overriding its None with a property.
     witness_pair = None  # (stride, offset): block j's pair (u, u + offset), u = j * stride
     probe_vertex = None  # (stride, offset, disjoint-side degree): block j's offset + j * stride
     witness_edges = None  # ranges (a, b, c, d): an edge u < v with a <= u < b, c <= v < d
@@ -302,12 +298,10 @@ class GridEmbedding(Embedding):
             raise ParameterError(f"grid entry {n_bits} is not a perfect square (N = l^2)")
         return side
 
-    @property
-    def witness_edges(self) -> tuple[tuple[int, int, int, int], ...]:
-        """A-P and A'-Q: the gadget's two crossing groups, joined only over
-        shared coordinates."""
-        l = self.l
-        return (0, l, self.p0, self.p0 + l), (l, 2 * l, self.q0, self.q0 + l)
+    # A-P and A'-Q: the gadget's crossing groups, joined only over shared coordinates
+    witness_edges = property(lambda self: (
+        (0, self.l, self.p0, self.p0 + self.l), (self.l, 2 * self.l, self.q0, self.q0 + self.l)
+    ))
 
     def grid_neighbor(self, v: int, i: int, joint: JointAccess) -> int:
         """The i-th neighbor (1 <= i <= l) of a gadget vertex v < 4l: grid
@@ -344,22 +338,6 @@ class GridEmbedding(Embedding):
         if (u < l or u - u % l == q0) == (v < l or v - v % l == q0):
             return 0
         return 1 if self.grid_neighbor(u, v % l + 1, joint) == v else 0
-
-
-def moment_claims(
-    inst: Embedding, g: ExplicitGraph, m_s: int, side_claim: str, side_ok: bool
-) -> list[VerificationReport]:
-    """A degree-moment construction's claims on g, whose s-th moment is
-    m_s: M_s exactly, the claim of its promise side, and for s >= 2 the
-    arboricity bounds."""
-    name, expected = f"moment({inst.s})", inst.expected_moment()
-    reports = [
-        VerificationReport(name, m_s, f"M_s == {expected}", m_s == expected),
-        VerificationReport(name, m_s, side_claim, side_ok),
-    ]
-    if inst.s >= 2:
-        reports.append(check_alpha_bounds(g, inst.s))
-    return reports
 
 
 def lazy_answer(

@@ -132,10 +132,7 @@ class CliqueHidingEmbedding(Embedding):
         return 0
 
     def edge_count(self) -> int:
-        m = self.base.m + comb(self.l, 2) * self.pp.overlap
-        if self.augment:
-            m += self.n - 1 - self.base.degree(0)
-        return m
+        return self.baseline_edge_count() + comb(self.l, 2) * self.pp.overlap
 
     def baseline_edge_count(self) -> int:
         """Edge count on the disjoint side (same parameters)."""
@@ -155,16 +152,10 @@ class CliqueHidingEmbedding(Embedding):
             side = VerificationReport("edge_count", m, "m == baseline", m == baseline)
         return [self.edge_count_report(g), side]
 
-    @property
-    def witness_pair(self) -> Optional[tuple[int, int]]:
-        """Block j's first two vertices, adjacent only when j is shared;
-        blocks of one vertex have no pair."""
-        return (self.l, 1) if self.l >= 2 else None
-
-    @property
-    def probe_vertex(self) -> tuple[int, int, int]:
-        """Block j's first vertex gains l - 1 neighbors when j is shared."""
-        return self.l, 0, 1 if self.augment else 0
+    # block j's first two vertices are adjacent, and its first vertex gains
+    # l - 1 neighbors, only when j is shared; one-vertex blocks have no pair
+    witness_pair = property(lambda self: (self.l, 1) if self.l >= 2 else None)
+    probe_vertex = property(lambda self: (self.l, 0, 1 if self.augment else 0))
 
     def params_json(self) -> dict:
         return {

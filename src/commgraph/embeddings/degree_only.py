@@ -115,10 +115,8 @@ class DegreeOnlyEmbedding(Embedding):
             VerificationReport("degree_table", k, "every V,W vertex has degree k", vw_ok),
         ]
 
-    @property
-    def probe_vertex(self) -> tuple[int, int, int]:
-        """U_j's first vertex is joined to all of V and W when j is shared."""
-        return self.k, 0, 0
+    # U_j's first vertex is joined to all of V and W only when j is shared
+    probe_vertex = property(lambda self: (self.k, 0, 0))
 
     def params_json(self) -> dict:
         return {

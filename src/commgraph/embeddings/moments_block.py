@@ -30,8 +30,8 @@ from typing import Optional
 
 from ..graph import ExplicitGraph
 from ..promises import PromisePair
-from ..verify import VerificationReport, moment
-from .base import Embedding, JointAccess, ParameterError, least_at_least, moment_claims
+from ..verify import VerificationReport, check_alpha_bounds, moment
+from .base import Embedding, JointAccess, ParameterError, least_at_least
 
 
 def _floor_root(value: int, s: int) -> int:
@@ -229,18 +229,22 @@ class MomentsBlockEmbedding(Embedding):
         return quiet, quiet + self.w_size * self.chunk_size**self.s
 
     def claims(self, g: ExplicitGraph) -> list[VerificationReport]:
-        m_s, c = moment(g, self.s), self.c
-        quiet, loud = self.moment_both_sides()
+        m_s, name, expected = moment(g, self.s), f"moment({self.s})", self.expected_moment()
+        (quiet, loud), c = self.moment_both_sides(), self.c
         if self.pp.intersecting:
-            claim = f"3*M_s >= c*disjoint-side M_s = {c * quiet}"
-            return moment_claims(self, g, m_s, claim, 3 * m_s >= c * quiet)
-        claim = f"3*intersecting-side M_s = {3 * loud} >= c*M_s"
-        return moment_claims(self, g, m_s, claim, 3 * loud >= c * m_s)
+            claim, ok = f"3*M_s >= c*disjoint-side M_s = {c * quiet}", 3 * m_s >= c * quiet
+        else:
+            claim, ok = f"3*intersecting-side M_s = {3 * loud} >= c*M_s", 3 * loud >= c * m_s
+        reports = [
+            VerificationReport(name, m_s, f"M_s == {expected}", m_s == expected),
+            VerificationReport(name, m_s, claim, ok),
+        ]
+        if self.s >= 2:
+            reports.append(check_alpha_bounds(g, self.s))
+        return reports
 
-    @property
-    def probe_vertex(self) -> tuple[int, int, int]:
-        """W_j's first vertex gains chunk_size neighbors when j is shared."""
-        return self.w_size, self.w0, 0
+    # W_j's first vertex gains chunk_size neighbors only when j is shared
+    probe_vertex = property(lambda self: (self.w_size, self.w0, 0))
 
     def params_json(self) -> dict:
         return {

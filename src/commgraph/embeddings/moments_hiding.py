@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from ..families import MatchingGraph, base_graph_from_json, base_graph_to_json
 from ..graph import ExplicitGraph
 from ..promises import PromisePair
-from ..verify import VerificationReport, moment
-from .base import Embedding, JointAccess, ParameterError, least_at_least, moment_claims
+from ..verify import VerificationReport, check_alpha_bounds, moment
+from .base import Embedding, JointAccess, ParameterError, least_at_least
 
 
 def _least_power_at_least(alpha: int, s: int, target: int) -> int:
@@ -156,22 +156,22 @@ class MomentsHidingEmbedding(Embedding):
         return self.m_tilde + self.block_moment() * self.pp.overlap
 
     def claims(self, g: ExplicitGraph) -> list[VerificationReport]:
-        m_s = moment(g, self.s)
+        m_s, name, expected = moment(g, self.s), f"moment({self.s})", self.expected_moment()
+        reports = [VerificationReport(name, m_s, f"M_s == {expected}", m_s == expected)]
         if self.pp.intersecting:
             bound = (1 + self.c) * self.m_tilde
-            return moment_claims(self, g, m_s, f"M_s >= {bound}", m_s >= bound)
-        return moment_claims(self, g, m_s, f"M_s == {self.m_tilde}", m_s == self.m_tilde)
+            reports.append(VerificationReport(name, m_s, f"M_s >= {bound}", m_s >= bound))
+        else:
+            claim = f"M_s == {self.m_tilde}"
+            reports.append(VerificationReport(name, m_s, claim, m_s == self.m_tilde))
+        if self.s >= 2:
+            reports.append(check_alpha_bounds(g, self.s))
+        return reports
 
-    @property
-    def witness_pair(self) -> tuple[int, int]:
-        """Block j's first vertex on each side of K_{p, alpha}, adjacent
-        only when j is shared."""
-        return self.block_size, self.p
-
-    @property
-    def probe_vertex(self) -> tuple[int, int, int]:
-        """Block j's first vertex gains alpha neighbors when j is shared."""
-        return self.block_size, 0, 0
+    # block j's first vertex on each side of K_{p, alpha} are adjacent, and
+    # its first vertex gains alpha neighbors, only when j is shared
+    witness_pair = property(lambda self: (self.block_size, self.p))
+    probe_vertex = property(lambda self: (self.block_size, 0, 0))
 
     def block_vertices(self, j: int) -> list[int]:
         start = j * self.block_size

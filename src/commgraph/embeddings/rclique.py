@@ -259,11 +259,6 @@ class TriangleEmbedding(RCliqueEmbedding):
     requires = ("l", "k")
     accepts = ("n", "s_size")
 
-    def expected_triangle_count(self) -> int:
-        """Exact triangle count: every triangle is {a, b, s} over a shared
-        coordinate's A-B edge."""
-        return self.expected_clique_count()
-
     def clique_count(self, g: ExplicitGraph) -> tuple[str, str, int]:
         return "triangle_count", "C3", count_triangles(g)
 

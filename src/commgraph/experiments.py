@@ -1,13 +1,11 @@
 """Distinguisher harnesses, threshold sweeps, and the sampling amplifier.
 
 A distinguisher sees only the construction's public shape (kind, sizes,
-derived parameters and the witnesses the construction declares) and an
-oracle whose every answer goes through the two-party simulation, so the
-inputs are reachable only via transcripted queries.  Each reference
-distinguisher reads one declared witness, and it supports exactly the
-kinds whose construction declares it; nothing here depends on a kind's
-name.  Success rates are judged against Wilson lower confidence bounds
-to keep thresholds stable under finite-trial noise.
+derived parameters, declared witnesses) and an oracle whose every answer
+goes through the two-party simulation, so the inputs are reachable only
+via transcripted queries.  It supports the kinds that declare the witness
+it reads, whatever their names.  Success rates are judged against Wilson
+lower confidence bounds to keep thresholds stable under finite-trial noise.
 """
 
 from __future__ import annotations

@@ -78,11 +78,9 @@ TRANSCRIPT_CSV_HEADER = ("trial", "query_index", "query_kind", "bits", "cumulati
 
 
 class _GuardedBits:
-    """Read access restricted to the owning party's active context.
-
-    ``active`` is the session's one-element cell naming the party whose
-    code runs.  The guard holds that cell, not the session, so a finished
-    session is freed at once rather than by the cyclic collector."""
+    """Read access restricted to the owning party's active context, read
+    from the session's ``active`` cell: holding the session itself would
+    leave a finished session for the cyclic collector."""
 
     __slots__ = ("_bits", "_owner", "_active")
 

@@ -1,20 +1,16 @@
 """Independent exact verifiers for every gap claim.
 
-The kernels here (triangle and r-clique counts, min cut, components,
-degree moments, arboricity bounds) work on materialized graphs with
-exact integer or rational arithmetic; no floating point.  They are the
-second route against which the constructions' analytic claims are
-certified, so none of them share code with the lazy rules.  Each
-construction states its own claims (``Embedding.claims``) and measures
-them with these kernels; ``verify_instance`` checks the graph itself and
-then reports those claims.
+Every kernel here works on materialized graphs with exact integer or
+rational arithmetic; no floating point.  These are the second route
+against which the constructions' analytic claims (``Embedding.claims``,
+which call them) are certified, so none of them share code with the lazy
+rules.  ``verify_instance`` checks the graph, then reports those claims.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .graph import ExplicitGraph, dump_edge_list, load_edge_list, validate_graph
@@ -27,21 +23,16 @@ class VerifyBudgetExceeded(RuntimeError):
     """Exact enumeration refused above desk scale; message carries progress."""
 
 
-Value = Union[int, Fraction, str, tuple]
-
-
 @dataclass
 class VerificationReport:
     quantity: str
-    value: Value
+    value: Union[int, tuple]
     claim: str
     passed: bool
 
     def to_json(self) -> dict:
         value = self.value
-        if isinstance(value, Fraction):
-            value = f"{value.numerator}/{value.denominator}"
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             value = list(value)
         return {
             "quantity": self.quantity,
@@ -377,13 +368,9 @@ def arboricity_bounds(g: ExplicitGraph) -> tuple[int, int]:
     return lo, hi
 
 
-def check_alpha_bounds(
-    g: ExplicitGraph, s: int, alpha: Optional[int] = None
-) -> VerificationReport:
-    """Certify M_s/n^s <= arboricity <= M_s^(1/(s+1)) with exact arithmetic.
-
-    With no alpha supplied, uses exact enumeration up to 20 vertices and the
-    witness interval beyond.
+def check_alpha_bounds(g: ExplicitGraph, s: int) -> VerificationReport:
+    """Certify M_s/n^s <= arboricity <= M_s^(1/(s+1)) with exact arithmetic,
+    by exact enumeration up to 20 vertices and the witness interval beyond.
 
     The check is the literal two-sided inequality.  Its lower side is only a
     factor-2 statement in general (M_s <= 2*arboricity*n^s always holds;
@@ -393,9 +380,8 @@ def check_alpha_bounds(
     """
     m_s = moment(g, s)
     claim = "M_s/n^s <= arboricity <= M_s^(1/(s+1))"
-    if alpha is None and g.n <= 20:
+    if g.n <= 20:
         alpha = densest_subgraph_bruteforce(g)
-    if alpha is not None:
         ok = m_s <= alpha * g.n**s and alpha ** (s + 1) <= m_s
         if alpha == 0:
             ok = m_s == 0

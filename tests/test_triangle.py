@@ -70,7 +70,7 @@ def test_small_count_variant():
     )
     g = inst.materialize()
     assert count_triangles(g) == 3
-    assert inst.expected_triangle_count() == 3
+    assert inst.expected_clique_count() == 3
 
 
 def test_degree_rules():
