@@ -411,7 +411,7 @@ def verify_instance(
     ``valid_graph`` gets only those two reports; any other gets the
     instance's own ``claims`` after them.
     """
-    from .embeddings.base import MaterializationCapExceeded
+    from .embeddings.base import MaterializationCapExceeded  # deferred: import cycle
 
     reports = []
     if g is None:
