@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-_BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+# 0 and 1 become their digits and any other byte 'x', which int(..., 2) refuses
+_BYTE_TO_DIGIT = b"01" + b"x" * 254
 _DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -40,9 +41,10 @@ class BitVec:
             table = bytes(bits)
         except ValueError:  # an int outside 0..255
             raise ValueError("bits must be 0 or 1") from None
-        if table.translate(None, b"\x00\x01"):
-            raise ValueError("bits must be 0 or 1")
-        value = int(table.translate(_BYTE_TO_DIGIT), 2) if table else 0
+        try:
+            value = int(table.translate(_BYTE_TO_DIGIT), 2) if table else 0
+        except ValueError:  # a byte other than 0 or 1
+            raise ValueError("bits must be 0 or 1") from None
         vec = cls(len(table), value)
         vec._table = table
         return vec

@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .graph import dump_edge_list
 from .presets import family
-from .promises import DISJ_PROMISES, gen_promise_instance
+from .promises import DISJ_PROMISES, Disjoint, gen_promise_instance
 from .protocols import TRANSCRIPT_CSV_HEADER
 from .rng import derive_seed
 
@@ -92,6 +92,9 @@ def _add_kind_params(p: argparse.ArgumentParser):
 
 def _instance_for(args):
     fam = family(args.kind, **_kind_flags(args))
+    impossible = f"cannot draw a {args.side} instance for this promise"
+    if args.side == "intersecting" and isinstance(fam.promise, Disjoint):
+        raise ConfigError(impossible)  # no draw under this promise intersects
     pp = gen_promise_instance(fam.n_bits, fam.promise, derive_seed(args.seed, 0))
     if args.side != "coin":
         want = args.side == "intersecting"
@@ -99,7 +102,7 @@ def _instance_for(args):
         while pp.intersecting != want:
             attempt += 1
             if attempt > 10_000:
-                raise ConfigError(f"cannot draw a {args.side} instance for this promise")
+                raise ConfigError(impossible)
             pp = gen_promise_instance(
                 fam.n_bits, fam.promise, derive_seed(args.seed, 0, attempt)
             )

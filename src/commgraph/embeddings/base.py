@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import os
 import random
+from functools import cached_property
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from ..graph import (
     ContractViolation,
     DegreeIs,
+    DegreeRuns,
     EdgeIs,
     ExplicitGraph,
     NeighborIs,
@@ -170,6 +172,12 @@ class Embedding:
         edge queries."""
         raise UnsupportedQuery(f"{self.kind} has input-dependent degrees")
 
+    @cached_property
+    def degree_runs(self) -> DegreeRuns:
+        """``input_free_degrees`` laid out for edge sampling, once per
+        instance, on its first random edge query."""
+        return DegreeRuns(self.input_free_degrees())
+
     def edge_count(self) -> int:
         """Exact number of edges, computed analytically."""
         raise NotImplementedError
@@ -221,9 +229,7 @@ class Embedding:
             if rng is None:
                 raise ContractViolation("RandomEdge needs a randomness stream")
             u, v = sample_edge_by_degrees(
-                self.input_free_degrees(),
-                lambda w, i: self.neighbor_of(w, i, joint),
-                rng,
+                self.degree_runs, lambda w, i: self.neighbor_of(w, i, joint), rng
             )
             return EdgeIs(u, v)
         v = q[0]

@@ -34,8 +34,8 @@ class CliqueHidingParams:
     base_family: Optional[dict] = None  # JSON descriptor when canonical
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ParameterError("block size l must be >= 1")
+        if self.l < 2:  # a one-vertex block holds no edge on either side
+            raise ParameterError("block size l must be >= 2")
         if self.blocks < 1:
             raise ParameterError("blocks must be >= 1")
         if self.augment_connect and self.base.n < 1:
@@ -83,8 +83,6 @@ class CliqueHidingEmbedding(Embedding):
 
     def degree_of(self, v: int, joint: JointAccess) -> int:
         if v < self.block_span:
-            if self.l == 1:  # size-1 blocks never hold edges
-                return 1 if self.augment else 0
             d = (self.l - 1) if joint(self._block_of(v)) else 0
             return d + (1 if self.augment else 0)
         b = v - self.offset
@@ -99,8 +97,6 @@ class CliqueHidingEmbedding(Embedding):
             max_pos = self.l if self.augment else self.l - 1
             if i > max_pos:
                 return None
-            if self.l == 1:  # position 1 is the hub on both promise sides
-                return self.hub
             j = self._block_of(v)
             z = v - j * self.l
             if joint(j):
@@ -153,8 +149,8 @@ class CliqueHidingEmbedding(Embedding):
         return [self.edge_count_report(g), side]
 
     # block j's first two vertices are adjacent, and its first vertex gains
-    # l - 1 neighbors, only when j is shared; one-vertex blocks have no pair
-    witness_pair = property(lambda self: (self.l, 1) if self.l >= 2 else None)
+    # l - 1 neighbors, only when j is shared
+    witness_pair = property(lambda self: (self.l, 1))
     probe_vertex = property(lambda self: (self.l, 0, 1 if self.augment else 0))
 
     def params_json(self) -> dict:
@@ -183,19 +179,20 @@ class CliqueHidingEmbedding(Embedding):
 def edge_counting_block_side(eps_num: int, eps_den: int, base_m: int) -> int:
     """Smallest block size l with l >= 2*sqrt(eps*base_m), so an active
     block contributes at least eps*base_m edges: C(l,2) >= eps*base_m
-    whenever eps*base_m >= 1."""
+    whenever eps*base_m >= 1.  At least 2, the least block that holds an edge."""
     target = 4 * eps_num * base_m  # l^2 >= 4*eps*m'  <=>  l^2*den >= 4*num*m'
     lo = isqrt(target // eps_den)
     while lo * lo * eps_den < target:
         lo += 1
-    return max(lo, 1)
+    return max(lo, 2)
 
 
 def triangle_freeness_block_side(eps_num: int, eps_den: int, base_m: int) -> int:
     """Smallest block size l with l >= sqrt(eps*base_m) (the preset used
-    when the base graph is triangle-free and blocks must hold ~eps*m edges)."""
+    when the base graph is triangle-free and blocks must hold ~eps*m edges).
+    At least 2, the least block that holds an edge."""
     target = eps_num * base_m
     lo = isqrt(target // eps_den)
     while lo * lo * eps_den < target:
         lo += 1
-    return max(lo, 1)
+    return max(lo, 2)

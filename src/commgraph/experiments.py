@@ -230,10 +230,6 @@ def run_distinguisher_trials(
 def _pair_probe(oracle, view: PublicView, budget: int, rng: random.Random) -> int:
     """Probe the witness pair of a uniformly random block per query; a
     positive answer certifies the intersecting side."""
-    if budget < 1:  # no query, so no witness pair is needed
-        return view.label_disjoint
-    if view.witness_pair is None:
-        raise ValueError("pair probing needs blocks of size >= 2")
     blocks = view.params["blocks"]
     stride, offset = view.witness_pair
     answer, randrange = oracle.answer, rng.randrange

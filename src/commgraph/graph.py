@@ -226,32 +226,46 @@ def _valid_in_bulk(g: ExplicitGraph) -> bool:
     )
 
 
+class DegreeRuns:
+    """A degree table of ``(count, degree)`` runs over vertices 0, 1, ...
+    in order (vertices past the last run have degree 0), laid out for
+    ``sample_edge_by_degrees``: per run, the cumulative degree total at
+    its start and at its end, its first vertex and its degree."""
+
+    __slots__ = ("starts", "ends", "firsts", "degrees", "total")
+
+    def __init__(self, runs: Sequence[tuple[int, int]]):
+        self.starts, self.ends, self.firsts, self.degrees = [], [], [], []
+        total = first = 0
+        for count, d in runs:
+            self.starts.append(total)
+            self.firsts.append(first)
+            self.degrees.append(d)
+            total += count * d
+            first += count
+            self.ends.append(total)
+        self.total = total
+
+
 def sample_edge_by_degrees(
-    runs: Sequence[tuple[int, int]],
+    runs: DegreeRuns,
     neighbor_access: Callable[[int, int], int],
     rng: random.Random,
 ) -> tuple[int, int]:
     """Draw a uniform edge by picking a vertex with probability proportional
     to its degree and then a uniform incident position.
 
-    ``runs`` is the degree table as ``(count, degree)`` runs over vertices
-    0, 1, ... in order (vertices past the last run have degree 0), so a
-    draw costs O(len(runs)).  Each unordered edge is reached through both
-    endpoints, so its total probability is 2 / (sum of degrees) = 1/m.
+    A draw is one ``randrange`` over the total degree, a bisection of the
+    run ends and one ``divmod``.  Each unordered edge is reached through
+    both endpoints, so its total probability is 2 / (sum of degrees) = 1/m.
     Returns (u, v) with u < v.
     """
-    ends = []  # cumulative degree total at the end of each run
-    total = 0
-    for count, d in runs:
-        total += count * d
-        ends.append(total)
-    if total == 0:
+    if runs.total == 0:
         raise NoEdgesError("no edges: total degree is zero")
-    t = rng.randrange(total)
-    r = bisect.bisect_right(ends, t)
-    first = sum(count for count, _ in runs[:r])
-    step, offset = divmod(t - (ends[r - 1] if r else 0), runs[r][1])
-    v = first + step
+    t = rng.randrange(runs.total)
+    r = bisect.bisect_right(runs.ends, t)
+    step, offset = divmod(t - runs.starts[r], runs.degrees[r])
+    v = runs.firsts[r] + step
     w = neighbor_access(v, offset + 1)
     return (v, w) if v < w else (w, v)
 

@@ -109,29 +109,35 @@ class PromisePair:
         return self.overlap > 0
 
 
-# randrange(3) keeps the top two bits of one 32-bit Mersenne Twister output
-# and rejects the value 3.  A coordinate's draw code 0, 1, 2 stands for the
-# pair (0,0), (0,1), (1,0); code 3 marks a shared coordinate (1,1).
-_TOP_BYTE_TO_CODE = bytes(b >> 6 for b in range(256))
-_REJECTED_TOP_BYTES = bytes(range(0xC0, 0x100))
+# A coordinate's draw code 0, 1, 2 stands for the pair (0,0), (0,1), (1,0);
+# code 3 marks a shared coordinate (1,1).  Each random byte holds four
+# two-bit codes: the table of pair j maps a byte to bits 2j and 2j+1, and its
+# delete set holds the bytes whose pair j is 3.
+_BIT_PAIRS = [
+    (bytes((b >> 2 * j) & 3 for b in range(256)),
+     bytes(b for b in range(256) if (b >> 2 * j) & 3 == 3))
+    for j in range(4)
+]
 _CODE_TO_X = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x00\x01\x01")
 _CODE_TO_Y = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x01\x00\x01")
 
 
-def _randrange3_codes(rng: random.Random, count: int) -> bytes:
-    """The next ``count`` values of ``rng.randrange(3)``, drawn in bulk.
+def _ternary_codes(rng: random.Random, count: int) -> bytes:
+    """``count`` uniform codes in {0, 1, 2}, two random bits each.
 
-    ``getrandbits(32 * w)`` packs w successive 32-bit outputs little-endian,
-    so every fourth byte is one output's top byte, in stream order.  Draws
-    past the last accepted value are left unused, so the caller must
-    discard ``rng`` afterwards.
+    Each round takes ``b`` bytes from ``getrandbits(8 * b)``, little-endian,
+    and reads pair 0 of every byte, then pair 1, pair 2 and pair 3; the
+    code 3 is rejected, so the codes kept stay uniform.  A byte keeps three
+    codes on average, and ``b`` leaves a margin of at least four standard
+    deviations, so a second round is rare.  Codes past ``count``
+    are left unused, so the caller must discard ``rng`` afterwards.
     """
     codes = b""
     while len(codes) < count:
-        words = count - len(codes)
-        words += words // 3 + 8  # a quarter of the draws are rejected
-        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        codes += top.translate(_TOP_BYTE_TO_CODE, _REJECTED_TOP_BYTES)
+        need = count - len(codes)
+        b = need // 3 + need // 64 + 8
+        raw = rng.getrandbits(8 * b).to_bytes(b, "little")
+        codes += b"".join([raw.translate(pair, rejected) for pair, rejected in _BIT_PAIRS])
     return codes[:count]
 
 
@@ -141,8 +147,9 @@ def gen_promise_instance(n_bits: int, promise: Promise, seed: int) -> PromisePai
     The intersecting/disjoint side is chosen by a fair coin; within a side,
     each non-shared coordinate is uniform over {(0,0), (0,1), (1,0)} and
     shared positions (when present) are uniform among coordinate subsets.
-    The non-shared coordinates take successive ``randrange(3)`` values of
-    the seed's stream in coordinate order, read in bulk in O(N).
+    The coin and the shared positions are drawn first; the non-shared
+    coordinates then take successive ``_ternary_codes`` of the seed's
+    stream in coordinate order, two random bits each, in O(N).
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
@@ -154,7 +161,7 @@ def gen_promise_instance(n_bits: int, promise: Promise, seed: int) -> PromisePai
     else:
         count = 1 if isinstance(promise, UniqueIntersection) else promise.k
         shared = sorted(rng.sample(range(n_bits), count)) if rng.random() < 0.5 else []
-    draws = _randrange3_codes(rng, n_bits - len(shared))
+    draws = _ternary_codes(rng, n_bits - len(shared))
     pieces, start = [], 0
     for j, pos in enumerate(shared):  # draws[start:pos - j] fill the gap before pos
         pieces.append(draws[start:pos - j])

@@ -314,7 +314,7 @@ def random_instance(kind: str, seed: int) -> Embedding:
 
     rng = random.Random(seed)
     if kind == "clique-hiding":
-        l = rng.randint(1, 5)
+        l = rng.randint(2, 5)
         blocks = rng.randint(1, 6)
         base_n = rng.randint(1, 8)
         base_m = rng.randint(0, base_n * (base_n - 1) // 2)

@@ -89,3 +89,13 @@ def test_from_bits_rejects_non_bits(bad):
 def test_from_bits_rejects_an_int():
     with pytest.raises(TypeError):
         BitVec.from_bits(5)
+
+
+def test_from_bits_refuses_every_other_byte():
+    # int(..., 2) reads whitespace, '_', signs and a '0b' prefix, so every
+    # byte but 0 and 1 must reach it as a non-digit
+    for bad in range(2, 256):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitVec.from_bits([0, 1, bad, 1])
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitVec.from_bits([bad])

@@ -283,3 +283,39 @@ def test_unreadable_or_unwritable_file_is_an_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno 2] No such file or directory: ")
     assert str(missing) in err and "Traceback" not in err
+
+
+def test_intersecting_side_of_a_disjoint_promise_is_refused_before_drawing(
+    tmp_path, capsys, monkeypatch
+):
+    import commgraph.cli
+
+    draws = []
+    real = commgraph.cli.gen_promise_instance
+    monkeypatch.setattr(commgraph.cli, "gen_promise_instance",
+                        lambda *a: draws.append(a) or real(*a))
+    out = tmp_path / "d.json"
+    assert run(["gen", "--kind", "degree-only", "--n", "12", "--k", "2",
+                "--promise", "disjoint", "--side", "intersecting", "--seed", "1",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot draw a intersecting instance for this promise\n"
+    )
+    assert draws == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--out", "x.json"],
+    ["simulate", "--distinguisher", "degree-scan", "--budget", "8", "--trials", "4"],
+])
+def test_one_vertex_clique_hiding_blocks_are_a_config_error(tmp_path, capsys, monkeypatch,
+                                                            command):
+    # a block of one vertex never holds an edge, so both sides give one graph
+    monkeypatch.chdir(tmp_path)
+    assert run([*command, "--kind", "clique-hiding", "--l", "1", "--blocks", "4",
+                "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block size l must be >= 2\n"
+    assert list(tmp_path.iterdir()) == []

@@ -122,46 +122,46 @@ SWEEP_CASES = {
 }
 
 DIGESTS = {
-    "gen:clique-hiding/seed1/intersecting": "baae7cda9aed358df118ce510e31d4dd66df3aeb10986a5e6b5976dd3760ebcf",
-    "gen:clique-hiding/seed1/disjoint": "0794082709586adfad5a3288c52f2ea19e1802923220f72e282adb2e8c2844d4",
-    "gen:clique-hiding/seed2/intersecting": "bf9b3abcb9af579ce78885a59be62a3cb1bfa9abcf8a7888ba673d54068d7e56",
-    "gen:clique-hiding/seed2/disjoint": "5b21fae95050ed0b436307e151d91765416b032786f4db6b7ca6203b34646433",
-    "gen:triangle/seed1/intersecting": "1a69feb887f8504139091454eea1c60e049ad86a9794e4d02efbac96a4c4f277",
-    "gen:triangle/seed1/disjoint": "5e449d99733c11fb370e51df78aecc35be2b85bd543d38fb469c16d20befbcee",
-    "gen:triangle/seed2/intersecting": "a8cb70b0030af5e03a220dd0ecea696aea694ef0f9a98a5c8839facbc6667d64",
-    "gen:triangle/seed2/disjoint": "8475ef59c31b894d0518509502c9f709c6a6a62846e1e3abd436597bd0e5c97b",
-    "gen:r-clique/seed1/intersecting": "1ae67d5f69c830013bab271cf1de5e69e857588f4b41dab97dfe5cab8a0777cb",
-    "gen:r-clique/seed1/disjoint": "433de907afca5c879f680ceea059c225ee2620f39026007a602946c9df4d3ce3",
-    "gen:r-clique/seed2/intersecting": "fa50a8f1a03cfd1871ae1a1dfff074590da44f8bc46ee2e24c651ffbd6ecce1c",
-    "gen:r-clique/seed2/disjoint": "7e0eedeca3e2ee00261858ccefed9274a2dfe30571403885ae2ab0a979004718",
-    "gen:connectivity/seed1/intersecting": "dd47fedeb4374b6e79fa243d606326a25408714eb0cde3a879df4d8dfafce6bf",
-    "gen:connectivity/seed1/disjoint": "3cf0f8e490e736a667c2844d768078ebf1fad36288b9427195bcf5e3f08ce3a8",
-    "gen:connectivity/seed2/intersecting": "894da43590bd47d68e3bd2638375f0048dde6b53da6004ae24e9365a98cb031c",
-    "gen:connectivity/seed2/disjoint": "ff141991b5242fa5c69f492be577d0bdfe72175a93f546fe325681f6def1fced",
-    "gen:degree-only/seed1/intersecting": "c55aa96265c4c280784b769755b4715a4b8044eb037254c5c6aa022af2502957",
-    "gen:degree-only/seed1/disjoint": "1f3a7082c79922b480457a3e10f2bfbcefeff156ba2802eb1fbafbcd4de442be",
-    "gen:degree-only/seed2/intersecting": "087d704aed5283664ed8e4c1b968e19194e732091fc70280f0115e4a97093751",
-    "gen:degree-only/seed2/disjoint": "5195a19d25cd36aeb2865fced21da8a4c6b515d05734327ffe55d232c6c7a89a",
-    "gen:moments-hiding/seed1/intersecting": "9bcd3f0310d6e5312a7f6ea03ce4f1cb866458a9867d45886d27375c676ab525",
-    "gen:moments-hiding/seed1/disjoint": "cc13e1cb0299cd60be870e9bef39b473b07af729ffcc95660610c19a38be190e",
+    "gen:clique-hiding/seed1/intersecting": "0911fecd3b1a5d8cb9546770ab80da548a7a2b6f0a3965163b233c3b219f6941",
+    "gen:clique-hiding/seed1/disjoint": "b6beec2cbd4a6772724ae79878f6cab5482ae80337197757f07ff386ec7b5611",
+    "gen:clique-hiding/seed2/intersecting": "a14f4a35fb3357ab534744766dd5e1f2f13aa32531415f4161906d9568f06dc9",
+    "gen:clique-hiding/seed2/disjoint": "9a313454fea8b73dd3a1f5fdef7da962c01bde70505a54796f4a54632f038b27",
+    "gen:triangle/seed1/intersecting": "708e1dccf008fe5bebbb2934ec55e7095117e63bc3851cf4303073d163e13642",
+    "gen:triangle/seed1/disjoint": "17b8e16800800d3928649c944d3918f15ade8c878fe98a9e811335c6cd851c02",
+    "gen:triangle/seed2/intersecting": "d0ddb33d4bc8dbed1ed14015a9fd677783404daf81fa999e2fc31f23db7f9f54",
+    "gen:triangle/seed2/disjoint": "d6227cbc1b31f89cd87069fd4723b48b8e6592cecf00e758a70bf2fda54a53da",
+    "gen:r-clique/seed1/intersecting": "aa3b842d3544dbb402f68e658036b24d10711d0f12f661299b386ed373371272",
+    "gen:r-clique/seed1/disjoint": "753906467d1faebec1d43383c0f4b9877a8a91e0891fdd82807e9cd4bbb69da3",
+    "gen:r-clique/seed2/intersecting": "80d7500dc8eb5ebe517445fcd66586c90c7d6d4af34af20e6c1011c0dd599ec0",
+    "gen:r-clique/seed2/disjoint": "3949ec839100d353a0eb7f66aaf6c0f14dc3a7666803840a90e92f051bc942ae",
+    "gen:connectivity/seed1/intersecting": "2071a3927318588cc599c2bc48d97767fc249338b50b45159c9399a5f151815a",
+    "gen:connectivity/seed1/disjoint": "19ee30f810676d6ab70b854128c553c9e69b5db9bd6117604ae466a266d63409",
+    "gen:connectivity/seed2/intersecting": "f9967c506284bebdff50bb862c016172893bd333f315e94c800ca99a1106b039",
+    "gen:connectivity/seed2/disjoint": "b78b316183dfa754d626e961380a662c63a9e6bc3d35a25223dc7913180fb00d",
+    "gen:degree-only/seed1/intersecting": "b5c5832ada1c0f4404d440af7d251ac7ea6e42dea4a4ddea6c2332a0ee3efb57",
+    "gen:degree-only/seed1/disjoint": "ae585c6af04dfb39ad7dc353d69bd2eba59f50cdd861b7999c004c048ecbb905",
+    "gen:degree-only/seed2/intersecting": "280ed14b3af54d2d28c70f8ad6e6f7d557d0d55fe0024b644ef2b51f3f1ceee8",
+    "gen:degree-only/seed2/disjoint": "192d11be3fb9f3648558d77b00a343ee2a25364737fce098db39127a8cfd4c78",
+    "gen:moments-hiding/seed1/intersecting": "d1839125b1dc86a4558f5c73986758a755fc2743fee1de2e5c85bd7cc8ee8219",
+    "gen:moments-hiding/seed1/disjoint": "95898966d4ea8dcfd1f4de86c509ed88de3b95ae9e629cfe1f257427482908da",
     "gen:moments-hiding/seed2/intersecting": "9a0fb86f58c9f2c3a72d0b49f872dcb3616c200687d2def55abe901dd9f74e69",
-    "gen:moments-hiding/seed2/disjoint": "e41fd95dd2851002eaab2ce3c276c6a24789c84b9a685cf39b5b6d1c1a4d1671",
-    "gen:moments-block/seed1/intersecting": "7116da73e7299f56e4378fb3235108359c0b2918fcc73099a7df294850aced9d",
-    "gen:moments-block/seed1/disjoint": "f0595cf8a8816d5a18b6abcde8a4048e43bd22fc6e3403d3f8f37deea8805d4a",
-    "gen:moments-block/seed2/intersecting": "595dcfe7b526cbd26af4ef40f3b7d20a9a51e9edaed19017293783acbc0561fc",
-    "gen:moments-block/seed2/disjoint": "6dc3070ea9ac08b08064cc6d1ace4c140abbf356d9ed5731e48688c9946e9a39",
-    "gen:clique-hiding/augment-connect": "4be8a7ae4b118d51010cc43b8158db290b0fe0e2b8c30dca4ab62a849db00508",
-    "gen:triangle/n-s-size": "0e9488b536ecc68036e97acda88cd7ee18542e7139eeb0e385e17a7e14e6a013",
-    "gen:r-clique/s-clique-budget": "665652ce227f1095c0a2aa8c100c3c32b92519ef6bca5cc0ce340acf82a20c12",
-    "gen:degree-only/promise-disjoint": "13e2bd35e1460853aae06562fba3bcd1392a59780e9173bf5660407dffcf6e2d",
+    "gen:moments-hiding/seed2/disjoint": "00e6ee57b66b2627ca961604d6ce258159b932c380577fe11a29ec58f66f9bd9",
+    "gen:moments-block/seed1/intersecting": "822e4dd6f2c45031aec3fdd56d8a1a2c96c15418412f1941bda8601e9ec5485e",
+    "gen:moments-block/seed1/disjoint": "84d08cb3da358ef57b73d2c654b485a31c59cae06894fc019de4cab399d9ac98",
+    "gen:moments-block/seed2/intersecting": "ef0cc68be222d28be0a244c36ab339c5e14276d37e7fe648f8ffe41238bc7a72",
+    "gen:moments-block/seed2/disjoint": "5fb44073da458a7fa6a56f0b5afcbac70430d274266182d28d613f7c4962ee09",
+    "gen:clique-hiding/augment-connect": "89375fea10220e22654f0e36a6bf2ddae725dd3d69090dd5d732b9b50d05cbfd",
+    "gen:triangle/n-s-size": "7d09fe2c7663012fde6d1af567722bb24aa75079d67cc0d9c5508d333d7010b2",
+    "gen:r-clique/s-clique-budget": "254dcae1792e06cf385e43ace329dc39c33ea2742358a31be14b0739620d026f",
+    "gen:degree-only/promise-disjoint": "3886dfb73034f8ea30a56784926de2c472ee391b8abcb55fec11c6fc59cff841",
     "simulate:pair-probe": "0f9787bd5dad5cc1ac260c1359ac335ec81edea82c2f0487f95bdd17ba9d1e01",
     "simulate:degree-scan": "9ba58d7bcc8cb907eb4db206fab65f36480d28e9a0379fdf8d3b1c0c062a82f5",
     "simulate:edge-sample-tester": "6f420bf3fecb920ebc2a669cf17688545cac8af96230eab4f26f20abce9af497",
     "sweep:clique-hiding": "02bde867d14b7de11e807965c33c3fd8e3ab213c23960596b29a9c4bfedbedcb",
     "sweep:triangle": "20499785365a59c758ac0fed528eb2fb3ee16c1f5a88ac18c6c3d61d8f177ac1",
-    "gen:triangle/s-size-above-l": "cdb9ac1e49826d54c0a8ea3c3b820c54bec5209e28fc852e9c275ab498851fea",
-    "gen:connectivity/n-below-4l/intersecting": "66f08d2c8d63c4e7dc6ec0528990bb5c97ff43f8170b82704cdff3418982b39a",
-    "gen:connectivity/n-below-4l/disjoint": "1a6d59e10a09a81c8b37f761761c774c81a2847ce7781ea6d230bc826ca8a7f9",
+    "gen:triangle/s-size-above-l": "67c9d0e6cda97cd894790eea71a2ee0d8feafcaa4e79ee0ec63ce11485f47f55",
+    "gen:connectivity/n-below-4l/intersecting": "3e819d315768b2cf970b648678bde11431c1698113e35511989bad2aa7349970",
+    "gen:connectivity/n-below-4l/disjoint": "d326d1f94f15aedf6554be89b687e0e4f047963f27782e97e06063b4600aac2a",
     "simulate:edge-sample-tester/r-clique": "64941be361dbcd85b6501db3fca7f5afc55ca2b9c518969fd949b79dace096f4",
     "simulate:edge-sample-tester/r-clique-s-clique-budget": "a9627ba0597e9d3d28fe6776bd0f81715681741bf93a271900e416d78e0a4ec9",
     "simulate:edge-sample-tester/connectivity": "f8f46ce7663c6ec5a5b9bc7e10825d0885a22a21fe0932854c6a2d4261b30931",

@@ -9,6 +9,7 @@ from commgraph.graph import (
     ContractViolation,
     Degree,
     DegreeIs,
+    DegreeRuns,
     ExplicitGraph,
     Neighbor,
     NeighborIs,
@@ -140,7 +141,7 @@ def test_three_cycle_sampling_chi_square():
     rng = random.Random(1234)
     draws = 30_000
     counts = Counter(
-        sample_edge_by_degrees([(1, d) for d in TRIANGLE.degrees()], lambda v, i: TRIANGLE.adj[v][i - 1], rng)
+        sample_edge_by_degrees(DegreeRuns([(1, d) for d in TRIANGLE.degrees()]), lambda v, i: TRIANGLE.adj[v][i - 1], rng)
         for _ in range(draws)
     )
     expected = draws / 3
@@ -159,12 +160,12 @@ def test_single_edge_sampling_certain():
     g = ExplicitGraph(2, [[1], [0]])
     rng = random.Random(0)
     for _ in range(10):
-        assert sample_edge_by_degrees([(1, d) for d in g.degrees()], lambda v, i: g.adj[v][i - 1], rng) == (0, 1)
+        assert sample_edge_by_degrees(DegreeRuns([(1, d) for d in g.degrees()]), lambda v, i: g.adj[v][i - 1], rng) == (0, 1)
 
 
 def test_sampling_zero_degree_error():
     with pytest.raises(NoEdgesError):
-        sample_edge_by_degrees([(1, 0), (1, 0)], lambda v, i: 0, random.Random(0))
+        sample_edge_by_degrees(DegreeRuns([(1, 0), (1, 0)]), lambda v, i: 0, random.Random(0))
 
 
 def test_sampling_tvd_seeded():
@@ -173,7 +174,7 @@ def test_sampling_tvd_seeded():
     assert validate_graph(g) == []
     draws = 100_000
     counts = Counter(
-        sample_edge_by_degrees([(1, d) for d in g.degrees()], lambda v, i: g.adj[v][i - 1], rng)
+        sample_edge_by_degrees(DegreeRuns([(1, d) for d in g.degrees()]), lambda v, i: g.adj[v][i - 1], rng)
         for _ in range(draws)
     )
     emp = empirical_distribution({e: counts.get(e, 0) for e in g.edges()}, draws)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,20 +84,45 @@ def test_replication_reduction_property(seed, k):
     PromisePair(xr, yr, KIntersectOrDisjoint(k))
 
 
-def reference_gen(n_bits, promise, seed):
-    """One rng.randrange(3) call per non-shared coordinate, as a plain loop."""
-    rng = stream(seed)
+def draw_shared(rng, n_bits, promise):
+    """The shared coordinates, from the side coin and ``rng.sample`` alone."""
     if isinstance(promise, Disjoint):
-        shared = set()
-    else:
-        count = 1 if isinstance(promise, UniqueIntersection) else promise.k
-        shared = set(rng.sample(range(n_bits), count)) if rng.random() < 0.5 else set()
+        return []
+    count = 1 if isinstance(promise, UniqueIntersection) else promise.k
+    return sorted(rng.sample(range(n_bits), count)) if rng.random() < 0.5 else []
+
+
+def reference_codes(rng, count):
+    """Ternary codes as a plain loop over random bit pairs.
+
+    Each round draws ``b`` bytes as one ``getrandbits(8 * b)`` integer, low
+    byte first, and walks bit pair 0 (bits 0-1) of every byte, then pair 1,
+    2 and 3, keeping the codes 0, 1 and 2."""
+    codes = []
+    while len(codes) < count:
+        need = count - len(codes)
+        b = need // 3 + need // 64 + 8
+        word = rng.getrandbits(8 * b)
+        for j in range(4):
+            for i in range(b):
+                code = (word >> (8 * i + 2 * j)) & 3
+                if code != 3:
+                    codes.append(code)
+    return codes[:count]
+
+
+def reference_gen(n_bits, promise, seed):
+    """The coin and the shared positions first, then one ternary code per
+    non-shared coordinate in coordinate order, as a plain loop."""
+    rng = stream(seed)
+    shared = set(draw_shared(rng, n_bits, promise))
+    codes = iter(reference_codes(rng, n_bits - len(shared)))
     xbits, ybits = [], []
     for i in range(n_bits):
         if i in shared:
             xb, yb = 1, 1
         else:
-            xb, yb = ((0, 0), (0, 1), (1, 0))[rng.randrange(3)]
+            xb, yb = ((0, 0), (0, 1), (1, 0))[next(codes)]
         xbits.append(xb)
         ybits.append(yb)
     return xbits, ybits
@@ -108,6 +135,8 @@ def promises_for(n_bits):
 
 @pytest.mark.parametrize("n_bits", [1, 2, 3, 7, 100, 10_000])
 def test_gen_matches_plain_randrange_loop(n_bits):
+    """Each non-shared coordinate is a randrange(3) drawn from two random
+    bits by rejection, as ``reference_codes`` draws it."""
     seeds = range(3) if n_bits == 10_000 else range(40)
     for promise in promises_for(n_bits):
         for seed in seeds:
@@ -115,3 +144,35 @@ def test_gen_matches_plain_randrange_loop(n_bits):
             assert (list(pp.x), list(pp.y)) == reference_gen(n_bits, promise, seed), (
                 promise, seed,
             )
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 3, 7, 100, 10_000])
+def test_shared_coordinates_come_from_the_coin_and_sample_alone(n_bits):
+    """x AND y, the only part of a pair any graph reads, is fixed before the
+    first coordinate code is drawn."""
+    seeds = range(3) if n_bits == 10_000 else range(40)
+    for promise in promises_for(n_bits):
+        for seed in seeds:
+            pp = gen_promise_instance(n_bits, promise, seed)
+            joint = pp.x & pp.y
+            assert [i for i in range(n_bits) if joint[i]] == draw_shared(
+                stream(seed), n_bits, promise
+            ), (promise, seed)
+
+
+def test_coordinate_codes_are_uniform_and_independent():
+    """Chi-square over the three non-shared pairs (2 degrees of freedom) and
+    over successive pairs of them (8), each at its 99.9th percentile."""
+    n_bits = 30_000
+    for seed in (2026, 2027, 2028):
+        pp = gen_promise_instance(n_bits, Disjoint(), seed)
+        codes = [2 * xb + yb for xb, yb in zip(pp.x, pp.y)]
+        assert set(codes) <= {0, 1, 2}
+        singles = Counter(codes)
+        expected = n_bits / 3
+        assert sum((singles[c] - expected) ** 2 / expected for c in range(3)) <= 13.82
+        pairs = Counter(zip(codes[::2], codes[1::2]))
+        expected = (n_bits // 2) / 9
+        chi2 = sum((pairs[(a, b)] - expected) ** 2 / expected
+                   for a in range(3) for b in range(3))
+        assert chi2 <= 26.12
