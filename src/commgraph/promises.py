@@ -2,7 +2,9 @@
 
 The two N-bit inputs are the characteristic vectors held by the two
 parties.  ``disj`` is 1 iff they share no coordinate; ``inter_k`` is 1
-iff they share at least k coordinates.
+iff they share at least k coordinates.  ``gen_promise_instance`` fixes the
+shared coordinates, x AND y, before it draws the rest of x and y, two
+random bits per coordinate.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Root seeds are 64-bit integers.  Child seeds are derived with SplitMix64,
 a fixed, language-neutral mixing function, so the root-seed -> per-trial
 seed mapping is stable across runs and platforms.  The byte streams of
 ``random.Random`` built on those seeds are an implementation detail of
-CPython and are not part of any file-format contract.
+CPython and are not part of any file-format contract.  Consumers read a
+stream through ``random``'s public calls (``random``, ``sample``,
+``randrange``, ``getrandbits``); a promise pair's coordinates take two bits
+of ``getrandbits`` each (``promises``).
 """
 
 from __future__ import annotations
