@@ -24,6 +24,7 @@ from .embeddings.base import (
 )
 from .experiments import (
     SWEEP_CSV_HEADER,
+    check_trials,
     distinguisher_by_name,
     run_distinguisher_trials,
     threshold_sweep,
@@ -152,6 +153,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     fam = family(args.kind, **_kind_flags(args))
     d = distinguisher_by_name(args.distinguisher)
+    check_trials(fam, d, args.budget, args.trials)  # before the file is opened
     writer = None
     handle = None
     if args.transcripts:
@@ -160,7 +162,7 @@ def cmd_simulate(args) -> int:
         writer.writerow(TRANSCRIPT_CSV_HEADER)
 
     def on_trial(trial, output, truth, transcript, view):
-        if writer is not None and transcript is not None:
+        if writer is not None:
             writer.writerows(transcript.csv_rows(trial))
 
     try:
@@ -254,6 +256,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+            raise ConfigError(f"seed must be in [0, 2^64), got {args.seed}")
         return args.func(args)
     except (ConfigError, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

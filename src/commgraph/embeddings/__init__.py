@@ -12,11 +12,9 @@ from ..bits import BitVec
 from ..promises import PromisePair, promise_from_json
 from .base import (
     Embedding,
-    LazyOracle,
     MaterializationCapExceeded,
     ParameterError,
     UnsupportedQuery,
-    lazy_answer,
 )
 from .clique_hiding import (
     CliqueHidingEmbedding,
@@ -164,7 +162,6 @@ __all__ = [
     "DegreeOnlyParams",
     "EMBEDDING_CLASSES",
     "Embedding",
-    "LazyOracle",
     "MaterializationCapExceeded",
     "MomentsBlockEmbedding",
     "MomentsBlockParams",
@@ -179,6 +176,5 @@ __all__ = [
     "edge_counting_block_side",
     "instance_from_json",
     "instance_to_json",
-    "lazy_answer",
     "triangle_freeness_block_side",
 ]

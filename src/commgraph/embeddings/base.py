@@ -1,9 +1,10 @@
 """Shared machinery for the gap-instance constructions.
 
-Every construction answers queries lazily through one code path that
-reads the two-party inputs only via a ``joint(coord) -> 0/1`` callback
-returning x_c AND y_c.  The local oracle passes a direct reader; the
-two-party simulation passes an exchanging callback that charges bits.
+Every construction answers queries lazily through one code path,
+``Embedding.answer``, that reads the two-party inputs only via a
+``joint(coord) -> 0/1`` callback returning x_c AND y_c.  The two-party
+simulation passes an exchanging callback that charges bits; called
+without one, ``answer`` reads the inputs directly.
 Materialization reads whole rows through ``rows``, by default one
 ``row_of`` per vertex, whose default is the same lazy neighbor rule at
 every position, so neighbor orderings match position by position.
@@ -344,31 +345,3 @@ class GridEmbedding(Embedding):
         if (u < l or u - u % l == q0) == (v < l or v - v % l == q0):
             return 0
         return 1 if self.grid_neighbor(u, v % l + 1, joint) == v else 0
-
-
-def lazy_answer(
-    inst: Embedding, q: Query, rng: Optional[random.Random] = None
-) -> QueryAnswer:
-    """Answer a query from the inputs without materializing the graph."""
-    return inst.answer(q, None, rng)
-
-
-class LazyOracle:
-    """Counter-carrying oracle over an instance's lazy rules.
-
-    Safe for concurrent readers when each owns its oracle (and hence its
-    counter and randomness stream); the instance itself is immutable.
-    """
-
-    def __init__(self, inst: Embedding, rng: Optional[random.Random] = None):
-        self.instance = inst
-        self.n = inst.n
-        self.supported = inst.supported
-        self.rng = rng
-        self.queries_made = 0
-
-    def answer(self, q: Query) -> QueryAnswer:
-        ans = self.instance.answer(q, None, self.rng)
-        self.queries_made += 1
-        return ans
-

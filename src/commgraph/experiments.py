@@ -1,11 +1,13 @@
 """Distinguisher harnesses, threshold sweeps, and the sampling amplifier.
 
-A distinguisher sees only the construction's public shape (kind, sizes,
-derived parameters, declared witnesses) and an oracle whose every answer
-goes through the two-party simulation, so the inputs are reachable only
-via transcripted queries.  It supports the kinds that declare the witness
-it reads, whatever their names.  Success rates are judged against Wilson
-lower confidence bounds to keep thresholds stable under finite-trial noise.
+A distinguisher is a generator that sees only the construction's public
+shape (kind, sizes, derived parameters, declared witnesses) and the shared
+randomness.  It yields queries and receives their answers, which
+``protocols.run_reduction`` computes through the two-party simulation, so
+the inputs are reachable only via transcripted queries.  It supports the
+kinds that declare the witness it reads, whatever their names.  Success
+rates are judged against Wilson lower confidence bounds to keep thresholds
+stable under finite-trial noise.
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from .embeddings import EMBEDDING_CLASSES
 from .embeddings.base import Embedding, ParameterError
-from .graph import Degree, Pair, RandomEdge
+from .graph import Degree, Pair, Query, QueryAnswer, RandomEdge
 from .promises import Promise, PromisePair, gen_promise_instance
-from .protocols import BudgetExceeded, ReductionOracle, run_reduction
+from .protocols import run_reduction
 from .rng import derive_seed
 
 AMPLIFIER_SAMPLES = 7
@@ -58,23 +61,21 @@ class PublicView:
 
 @dataclass(frozen=True)
 class Distinguisher:
-    """A query algorithm ``run(oracle, view, budget, rng) -> label`` and the
-    witness it ``reads``: the ``PublicView`` field it looks for.
+    """A query algorithm and the witness it ``reads``: the ``PublicView``
+    field it looks for.
 
-    The prefix contract: a distinguisher answers ``view.label_intersecting``
-    exactly when one of its queries showed a witness, and it stops at that
-    query; otherwise it answers ``view.label_disjoint``.  Which queries it
-    makes depends on the oracle's answers and ``rng``, never on ``budget``,
-    which only cuts the run short.  With the same randomness, the run at
-    budget T is then the first T queries of the run at any larger budget,
-    which is what lets ``minimal_budget`` read the success at every budget
-    up to hi from one set of trials run at hi.  All three reference
-    distinguishers satisfy it.
+    ``run(view, rng)`` is a generator: it yields queries, receives their
+    answers and returns its label.  It never sees the budget: the driver
+    (``run_reduction``) cuts the run off after the budget's answers, and a
+    run cut off outputs ``view.label_disjoint``.  With the same randomness,
+    the run at budget T is then the first T queries of the run at any
+    larger budget, which is what lets ``minimal_budget`` read the success
+    at every budget up to hi from one set of trials run at hi.
     """
 
     name: str
     reads: str
-    run: Callable[[ReductionOracle, PublicView, int, random.Random], int]
+    run: Callable[[PublicView, random.Random], Generator[Query, QueryAnswer, int]]
 
     @property
     def supports(self) -> frozenset:
@@ -163,6 +164,17 @@ def wilson_lower(successes: int, trials: int, z: float = 1.96) -> float:
     return (center - margin) / denom
 
 
+def check_trials(family: InstanceFamily, d: Distinguisher, budget: int, trials: int) -> None:
+    """Refuse, with ``ValueError``, a run that ``run_distinguisher_trials``
+    would refuse, before any of its trials is drawn."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if family.kind not in d.supports:
+        raise ValueError(f"{d.name} does not support {family.kind}")
+
+
 def run_distinguisher_trials(
     family: InstanceFamily,
     d: Distinguisher,
@@ -173,43 +185,27 @@ def run_distinguisher_trials(
 ) -> SweepRow:
     """Fresh promise instance per trial, every query transcripted.
 
-    A budget violation invalidates the trial and counts as a failure.
     ``mean_bits`` is the mean transcript total per trial.  Trial t draws
     its inputs and randomness from ``derive_seed(seed, t, .)`` alone, so
     the same seed runs the same trials at every budget.  Each trial is
     drawn (``family.draw``) only after the previous one's ``on_trial``
     has run, and an ``InstanceFamily`` keeps none of them.  ``on_trial``
-    gets ``(t, output, truth, transcript, view)`` after each trial, with
-    output and transcript None after a budget violation.
+    gets ``(t, output, truth, transcript, view)`` after each trial.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if family.kind not in d.supports:
-        raise ValueError(f"{d.name} does not support {family.kind}")
+    check_trials(family, d, budget, trials)
     successes = 0
     total_bits = 0
     max_bits = 0
     for t in range(trials):
         trial = family.draw(seed, t)
         truth, view = trial.truth, trial.view
-
-        def algorithm(oracle, rng):
-            return d.run(oracle, view, budget, rng)
-
-        try:
-            output, transcript = run_reduction(
-                trial.inst, algorithm, derive_seed(seed, t, 1), budget=budget
-            )
-            ok = output == truth
-        except BudgetExceeded:
-            output, transcript, ok = None, None, False
-        if ok:
+        output, transcript = run_reduction(
+            trial.inst, partial(d.run, view), derive_seed(seed, t, 1), budget
+        )
+        if output == truth:
             successes += 1
-        if transcript is not None:
-            total_bits += transcript.total_bits
-            max_bits = max(max_bits, transcript.max_bits_per_query)
+        total_bits += transcript.total_bits
+        max_bits = max(max_bits, transcript.max_bits_per_query)
         if on_trial is not None:
             on_trial(t, output, truth, transcript, view)
     return SweepRow(
@@ -227,40 +223,37 @@ def run_distinguisher_trials(
 # reference distinguishers
 
 
-def _pair_probe(oracle, view: PublicView, budget: int, rng: random.Random) -> int:
+def _pair_probe(view: PublicView, rng: random.Random):
     """Probe the witness pair of a uniformly random block per query; a
     positive answer certifies the intersecting side."""
     blocks = view.params["blocks"]
     stride, offset = view.witness_pair
-    answer, randrange = oracle.answer, rng.randrange
-    for _ in range(budget):
+    randrange = rng.randrange
+    while True:
         u = randrange(blocks) * stride
-        if answer(Pair(u, u + offset)).bit:
+        if (yield Pair(u, u + offset)).bit:
             return view.label_intersecting
-    return view.label_disjoint
 
 
-def _degree_scan(oracle, view: PublicView, budget: int, rng: random.Random) -> int:
+def _degree_scan(view: PublicView, rng: random.Random):
     """Degree-probe one block's probe vertex per query; any deviation from
     the disjoint-side degree certifies the intersecting side."""
     blocks = view.params["blocks"]
     stride, offset, baseline = view.probe_vertex
-    answer, randrange = oracle.answer, rng.randrange
-    for _ in range(budget):
-        if answer(Degree(offset + randrange(blocks) * stride)).d != baseline:
+    randrange = rng.randrange
+    while True:
+        if (yield Degree(offset + randrange(blocks) * stride)).d != baseline:
             return view.label_intersecting
-    return view.label_disjoint
 
 
-def _edge_sample_tester(oracle, view: PublicView, budget: int, rng: random.Random) -> int:
+def _edge_sample_tester(view: PublicView, rng: random.Random):
     """Draw uniform edges; an edge inside the declared witness ranges exists
     only when the inputs intersect."""
     ranges = view.witness_edges
-    for _ in range(budget):
-        u, v = oracle.answer(RandomEdge())
+    while True:
+        u, v = yield RandomEdge()
         if any(a <= u < b and c <= v < d for a, b, c, d in ranges):
             return view.label_intersecting
-    return view.label_disjoint
 
 
 def reference_distinguishers() -> list[Distinguisher]:
@@ -305,13 +298,10 @@ def edge_sampling_amplifier(
 class CoupledTrials:
     """One set of trials run at budget ``hi``, read at every budget T <= hi.
 
-    By the prefix contract (see ``Distinguisher``), the run at T outputs
-    the intersecting label exactly when the run at hi showed its witness
-    by query T, and its queries are the first min(q, T) of the q made at
-    hi.  So each trial succeeds on an interval of budgets: from its witness
-    query up when the witness was right, below it when it was wrong, at
-    every budget or at none when it showed no witness.  A budget violation
-    fails the trial at every budget.
+    A run at T is the run at hi cut off after T answers (see
+    ``Distinguisher``).  So if the run at hi made q queries, its queries at
+    T are the first min(q, T), and it outputs the hi run's label at every
+    T >= q and the disjoint label, the cut-off's, at every T < q.
     """
 
     family: InstanceFamily
@@ -328,17 +318,13 @@ class CoupledTrials:
         per_trial_bits = []
 
         def record(t, output, truth, transcript, view):
-            if transcript is None:
-                per_trial_bits.append(b"")
-                return
-            ok = output == truth
-            if output == view.label_intersecting:  # witness at the last query
-                q = transcript.query_count
-                first, last = (q, hi) if ok else (0, q - 1)
-            else:
-                first, last = (0, hi) if ok else (1, 0)  # (1, 0): no budget
-            delta[first] += 1
-            delta[last + 1] -= 1
+            q = transcript.query_count
+            if view.label_disjoint == truth:  # right at every T < q
+                delta[0] += 1
+                delta[q] -= 1
+            if output == truth:  # right at every T >= q
+                delta[q] += 1
+                delta[hi + 1] -= 1
             per_trial_bits.append(bytes(transcript.bits))
 
         run_distinguisher_trials(family, d, hi, trials, seed, on_trial=record)

@@ -62,9 +62,6 @@ class EdgeIs(NamedTuple):
 
 QueryAnswer = DegreeIs | NeighborIs | PairIs | EdgeIs
 
-ALL_QUERY_KINDS = frozenset({"degree", "neighbor", "pair", "random_edge"})
-
-
 _QUERY_KINDS = {
     Degree: "degree",
     Neighbor: "neighbor",
@@ -305,19 +302,3 @@ def load_edge_list(text: str) -> ExplicitGraph:
             raise ValueError(f"line {v + 2}: expected prefix '{v}:'")
         adj.append(tuple(map(int, rest.split())))
     return ExplicitGraph(n, adj)
-
-
-class ExplicitOracle:
-    """Query oracle over a materialized graph, with a query counter."""
-
-    def __init__(self, g: ExplicitGraph, rng: Optional[random.Random] = None):
-        self.graph = g
-        self.n = g.n
-        self.supported = ALL_QUERY_KINDS
-        self.rng = rng
-        self.queries_made = 0
-
-    def answer(self, q: Query) -> QueryAnswer:
-        ans = answer_on_explicit(self.graph, q, self.rng)
-        self.queries_made += 1
-        return ans

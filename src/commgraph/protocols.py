@@ -6,6 +6,11 @@ input-coordinate access routed through an explicit exchange: the first
 party reveals its bit, the second reveals its bit, 2 bits on the wire.
 Queries whose answers never touch an input coordinate cost 0 bits.
 
+An algorithm is a generator: it yields queries, receives their answers
+and returns its output.  ``run_reduction`` is the one driver; it sends
+every query through ``ProtocolSession.simulate`` and stops the run at the
+budget, so an algorithm never holds the session or the inputs.
+
 Capability separation is enforced dynamically: each party's input lives
 in a guarded container that only the owning party's context may read.
 Any other access raises CapabilityViolation and aborts the run.
@@ -14,8 +19,8 @@ Any other access raises CapabilityViolation and aborts the run.
 from __future__ import annotations
 
 import random
-from itertools import accumulate
-from typing import Callable, NamedTuple, Optional
+from itertools import accumulate, count
+from typing import Callable, Generator, NamedTuple, Optional
 
 from .bits import BitVec
 from .embeddings.base import Embedding
@@ -25,10 +30,6 @@ from .rng import derive_seed
 
 class CapabilityViolation(RuntimeError):
     """A party's code path touched the other party's input."""
-
-
-class BudgetExceeded(RuntimeError):
-    """The algorithm tried to exceed its query budget."""
 
 
 class TranscriptEntry(NamedTuple):
@@ -147,47 +148,29 @@ class ProtocolSession:
         return answer
 
 
-def simulate_query(sess: ProtocolSession, inst: Embedding, q: Query) -> QueryAnswer:
-    if sess.instance is not inst and (
-        sess.instance.pp != inst.pp or sess.instance.kind != inst.kind
-    ):
-        raise ValueError("session inputs differ from the instance's inputs")
-    return sess.simulate(q)
-
-
-class ReductionOracle:
-    """Oracle view handed to an algorithm: every answer goes through the
-    two-party simulation, and an optional budget caps the query count."""
-
-    def __init__(self, session: ProtocolSession, budget: Optional[int] = None):
-        self._session = session
-        self.n = session.instance.n
-        self.supported = session.instance.supported
-        self.budget = budget
-        self.queries_made = 0
-
-    def answer(self, q: Query) -> QueryAnswer:
-        if self.budget is not None and self.queries_made + 1 > self.budget:
-            raise BudgetExceeded(f"budget of {self.budget} queries exhausted")
-        ans = self._session.simulate(q)
-        self.queries_made += 1
-        return ans
-
-
-Algorithm = Callable[[ReductionOracle, random.Random], int]
-
-
 def run_reduction(
     inst: Embedding,
-    algorithm: Algorithm,
+    algorithm: Callable[[random.Random], Generator[Query, QueryAnswer, int]],
     seed: int,
     budget: Optional[int] = None,
 ) -> tuple[int, Transcript]:
-    """Run an oracle algorithm with every query routed through the two-party
-    simulation.  The algorithm's randomness is the parties' shared stream, so
-    its output plus the transcript is a communication protocol for the
-    instance's promise problem."""
+    """Drive ``algorithm(rng)`` with every query it yields answered through
+    the two-party simulation.  Its randomness is the parties' shared
+    stream, so its output plus the transcript is a communication protocol
+    for the instance's promise problem.
+
+    After ``budget`` answers the run is cut off and outputs the disjoint
+    label, ``inst.label_for(False)``; with no budget it runs until the
+    generator returns.  The algorithm never sees the budget, so the run at
+    budget T is the first T queries of the run at any larger budget."""
     session = ProtocolSession(inst, seed)
-    oracle = ReductionOracle(session, budget)
-    output = algorithm(oracle, session.shared_rng)
-    return output, session.transcript
+    run = algorithm(session.shared_rng)
+    simulate = session.simulate
+    try:
+        query = next(run)
+        for _ in count() if budget is None else range(budget):
+            query = run.send(simulate(query))
+    except StopIteration as done:
+        return done.value, session.transcript
+    run.close()
+    return inst.label_for(False), session.transcript

@@ -27,7 +27,10 @@ def splitmix64(state: int) -> int:
 
 
 def derive_seed(root: int, *indices: int) -> int:
-    """Child seed for (root, i0, i1, ...): fold each index with SplitMix64."""
+    """Child seed for (root, i0, i1, ...): fold each index with SplitMix64.
+
+    The root is read modulo 2^64, so the CLI refuses roots outside
+    [0, 2^64) rather than let two of them run the same trials."""
     state = root & _MASK
     for i in indices:
         state = splitmix64((state ^ (i & _MASK)) & _MASK)

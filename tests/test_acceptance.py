@@ -15,7 +15,6 @@ from commgraph.embeddings import (
     MomentsBlockEmbedding as build_moments_block,
     MomentsHidingEmbedding as build_moments_hiding,
     TriangleEmbedding as build_triangle,
-    lazy_answer,
 )
 from commgraph.experiments import (
     distinguisher_by_name,
@@ -213,7 +212,7 @@ def test_criterion_4_uniform_edge_sampling_tvd():
         counts = {e: 0 for e in edges}
         draws = 100_000
         for _ in range(draws):
-            e = lazy_answer(inst, RandomEdge(), rng)
+            e = inst.answer(RandomEdge(), rng=rng)
             counts[(e.u, e.v)] += 1
         dist = tvd(
             empirical_distribution(counts, draws), uniform_distribution(edges)

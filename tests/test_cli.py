@@ -319,3 +319,49 @@ def test_one_vertex_clique_hiding_blocks_are_a_config_error(tmp_path, capsys, mo
     assert captured.out == ""
     assert captured.err == "error: block size l must be >= 2\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--distinguisher", "pair-probe", "--budget", "8", "--trials", "4"],
+     "pair-probe does not support triangle"),
+    (["--distinguisher", "edge-sample-tester", "--budget", "-1", "--trials", "4"],
+     "budget must be >= 0, got -1"),
+    (["--distinguisher", "edge-sample-tester", "--budget", "8", "--trials", "0"],
+     "trials must be >= 1, got 0"),
+])
+def test_refused_simulate_leaves_the_transcript_file_alone(tmp_path, capsys, flags, error):
+    created, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier run\n")
+    for path in (created, kept):
+        assert run(["simulate", "--kind", "triangle", "--l", "4", "--k", "2", *flags,
+                    "--seed", "1", "--transcripts", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+    assert not created.exists()
+    assert kept.read_text() == "earlier run\n"
+
+
+SEED_COMMANDS = {
+    "gen": ["gen", "--kind", "triangle", "--l", "3", "--k", "1", "--out", "x.json"],
+    "simulate": ["simulate", "--kind", "triangle", "--l", "3", "--k", "1",
+                 "--distinguisher", "edge-sample-tester", "--budget", "3", "--trials", "2"],
+    "sweep": ["sweep", "--kind", "triangle", "--k", "1", "--grid", "9",
+              "--distinguisher", "edge-sample-tester", "--trials", "5", "--out", "s.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+@pytest.mark.parametrize("seed", [str(2**64), "-1", str(2**64 + 1)])
+def test_seed_outside_64_bits_is_a_config_error(tmp_path, capsys, monkeypatch, command, seed):
+    monkeypatch.chdir(tmp_path)
+    assert run([*SEED_COMMANDS[command], "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be in [0, 2^64), got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_largest_64_bit_seed_is_accepted(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert run([*SEED_COMMANDS[command], "--seed", str(2**64 - 1)]) == 0
+    assert capsys.readouterr().out != ""

@@ -4,7 +4,7 @@ import pytest
 
 from commgraph.bits import BitVec
 from commgraph.embeddings import DegreeOnlyEmbedding as build_degree_only
-from commgraph.embeddings import DegreeOnlyParams, lazy_answer
+from commgraph.embeddings import DegreeOnlyParams
 from commgraph.embeddings.base import UnsupportedQuery
 from commgraph.graph import Degree, Neighbor, Pair, RandomEdge, validate_graph
 from commgraph.promises import PromisePair, UniqueIntersection
@@ -40,13 +40,13 @@ def test_intersecting_edge_count():
 def test_vw_degree_constant():
     for inst in (disjoint(12, 2), intersecting(12, 2)):
         for v in range(4, 12):
-            assert lazy_answer(inst, Degree(v)).d == 2
+            assert inst.answer(Degree(v)).d == 2
 
 
 def test_hot_block_degree():
     inst = intersecting(12, 2, hot=1)
-    assert lazy_answer(inst, Degree(0)).d == 0  # cold U block
-    assert lazy_answer(inst, Degree(2)).d == 8  # hot U block: 2n/3
+    assert inst.answer(Degree(0)).d == 0  # cold U block
+    assert inst.answer(Degree(2)).d == 8  # hot U block: 2n/3
     g = inst.materialize()
     assert g.degree(2) == 8 and g.degree(3) == 8
 
@@ -66,11 +66,11 @@ def test_only_degree_queries_supported():
     inst = intersecting(12, 2)
     assert inst.supported == {"degree"}
     with pytest.raises(UnsupportedQuery):
-        lazy_answer(inst, Neighbor(4, 1))
+        inst.answer(Neighbor(4, 1))
     with pytest.raises(UnsupportedQuery):
-        lazy_answer(inst, Pair(4, 8))
+        inst.answer(Pair(4, 8))
     with pytest.raises(UnsupportedQuery):
-        lazy_answer(inst, RandomEdge(), random.Random(0))
+        inst.answer(RandomEdge(), rng=random.Random(0))
 
 
 def test_padding_to_multiple_of_3k():

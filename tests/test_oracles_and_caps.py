@@ -1,37 +1,19 @@
 import gc
 import itertools
 import json
-import random
 from types import ModuleType
 
 import pytest
 
 from commgraph.bits import BitVec
+import commgraph.cli
 from commgraph.cli import main
-from commgraph.embeddings import ALL_KINDS, Embedding, LazyOracle, MaterializationCapExceeded
-from commgraph.experiments import PublicView, reference_distinguishers
-from commgraph.graph import Degree, ExplicitOracle
+from commgraph.embeddings import ALL_KINDS, Embedding, MaterializationCapExceeded
+from commgraph.experiments import Distinguisher, PublicView, reference_distinguishers
 from commgraph.promises import PromisePair
+from commgraph.protocols import ProtocolSession, _GuardedBits
 
-from helpers import random_instance
-
-
-def test_lazy_oracle_counts_queries():
-    inst = random_instance("triangle", 3)
-    oracle = LazyOracle(inst, random.Random(0))
-    for v in range(5):
-        oracle.answer(Degree(v))
-    assert oracle.queries_made == 5
-    assert oracle.n == inst.n
-    assert oracle.supported == inst.supported
-
-
-def test_explicit_oracle_counts_queries():
-    inst = random_instance("triangle", 3)
-    oracle = ExplicitOracle(inst.materialize(), random.Random(0))
-    oracle.answer(Degree(0))
-    oracle.answer(Degree(1))
-    assert oracle.queries_made == 2
+from helpers import SMALL_KIND_FLAGS, random_instance
 
 
 def _reachable(root) -> list:
@@ -61,6 +43,38 @@ def test_public_view_hides_inputs():
             if isinstance(obj, (Embedding, PromisePair, BitVec)) or callable(obj)
         ]
         assert leaks == [], (kind, seed)
+
+
+def test_a_distinguisher_receives_nothing_that_reaches_the_inputs(monkeypatch, capsys):
+    # everything a distinguisher gets: its view, its rng and each answer
+    received = []
+
+    def spying(d):
+        def run(view, rng):
+            received.extend((view, rng))
+            queries = d.run(view, rng)
+            try:
+                query = next(queries)
+                while True:
+                    answer = yield query
+                    received.append(answer)
+                    query = queries.send(answer)
+            except StopIteration as done:
+                return done.value
+
+        return Distinguisher(d.name, d.reads, run)
+
+    spies = {d.name: spying(d) for d in reference_distinguishers()}
+    monkeypatch.setattr(commgraph.cli, "distinguisher_by_name", spies.__getitem__)
+    for d in spies.values():
+        for kind in sorted(d.supports):
+            assert main(["simulate", "--kind", kind, *SMALL_KIND_FLAGS[kind],
+                         "--distinguisher", d.name, "--budget", "6", "--trials", "4",
+                         "--seed", "5"]) == 0, capsys.readouterr().err
+    assert sum(isinstance(obj, tuple) for obj in received) > 9 * 4
+    forbidden = (Embedding, PromisePair, BitVec, ProtocolSession, _GuardedBits)
+    leaks = [obj for root in received for obj in _reachable(root) if isinstance(obj, forbidden)]
+    assert leaks == []
 
 
 def test_distinguishers_support_the_kinds_declaring_their_witness():

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -9,7 +10,6 @@ from commgraph.embeddings import (
     CliqueHidingEmbedding as build_clique_hiding,
     DegreeOnlyEmbedding as build_degree_only,
     TriangleEmbedding as build_triangle,
-    lazy_answer,
 )
 from commgraph.families import path_graph
 from commgraph.graph import Degree, Neighbor, Pair, RandomEdge
@@ -22,13 +22,10 @@ from commgraph.promises import (
     inter_k,
 )
 from commgraph.protocols import (
-    BudgetExceeded,
     CapabilityViolation,
     ProtocolSession,
-    ReductionOracle,
     TranscriptEntry,
     run_reduction,
-    simulate_query,
 )
 
 from helpers import bits_from_string, random_instance
@@ -51,7 +48,7 @@ def clique_instance():
 def test_degree_query_is_free_on_triangle():
     inst = triangle_instance()
     sess = ProtocolSession(inst, seed=1)
-    ans = simulate_query(sess, inst, Degree(16))  # a witness-set vertex
+    ans = sess.simulate(Degree(16))  # a witness-set vertex
     assert ans.d == 8  # 2l
     assert sess.transcript.entries[-1].bits == 0
 
@@ -59,11 +56,11 @@ def test_degree_query_is_free_on_triangle():
 def test_pair_in_block_costs_two_bits():
     inst = clique_instance()
     sess = ProtocolSession(inst, seed=1)
-    ans = simulate_query(sess, inst, Pair(3, 4))  # inside the active block
+    ans = sess.simulate(Pair(3, 4))  # inside the active block
     assert ans.bit == 1
     assert sess.transcript.entries[-1].bits == 2
     # base-graph pair is free
-    simulate_query(sess, inst, Pair(6, 7))
+    sess.simulate(Pair(6, 7))
     assert sess.transcript.entries[-1].bits == 0
 
 
@@ -71,7 +68,7 @@ def test_random_edge_costs_at_most_two_bits():
     inst = triangle_instance()
     sess = ProtocolSession(inst, seed=5)
     for _ in range(50):
-        simulate_query(sess, inst, RandomEdge())
+        sess.simulate(RandomEdge())
     assert all(e.bits <= 2 for e in sess.transcript.entries)
     assert any(e.bits == 0 for e in sess.transcript.entries)  # witness-set hits
 
@@ -95,7 +92,7 @@ def test_transcript_agrees_with_the_queries_and_exchanged_coordinates():
         q = rng.choice([Degree(u), Neighbor(u, rng.randrange(1, inst.n)), Pair(u, v),
                         RandomEdge()])
         coords.clear()
-        simulate_query(sess, inst, q)
+        sess.simulate(q)
         kinds.append(names[type(q)])
         costs.append(2 * len(coords))
     assert set(kinds) == set(names.values())
@@ -113,9 +110,9 @@ def test_transcript_agrees_with_the_queries_and_exchanged_coordinates():
 def test_transcript_totals():
     inst = clique_instance()
 
-    def five_pair_probes(oracle, rng):
+    def five_pair_probes(rng):
         for _ in range(5):
-            oracle.answer(Pair(0, 1))  # in-block pair: input-dependent
+            yield Pair(0, 1)  # in-block pair: input-dependent
         return 0
 
     _, transcript = run_reduction(inst, five_pair_probes, seed=3)
@@ -126,9 +123,9 @@ def test_transcript_totals():
 def test_degree_queries_free_for_triangle_reduction():
     inst = triangle_instance()
 
-    def degree_sweep(oracle, rng):
-        for v in range(oracle.n):
-            oracle.answer(Degree(v))
+    def degree_sweep(rng):
+        for v in range(inst.n):
+            yield Degree(v)
         return 0
 
     _, transcript = run_reduction(inst, degree_sweep, seed=3)
@@ -148,7 +145,7 @@ def test_simulation_matches_lazy_answers():
                     Pair(rng.randrange(inst.n), rng.randrange(inst.n)),
                 ]
             )
-            assert simulate_query(sess, inst, q) == lazy_answer(inst, q)
+            assert sess.simulate(q) == inst.answer(q)
 
 
 def test_capability_guard():
@@ -159,29 +156,12 @@ def test_capability_guard():
     with pytest.raises(CapabilityViolation):
         sess.bob_input[3]
 
-    def rogue(oracle, rng):
+    def rogue(rng):
+        yield Degree(0)
         return sess.bob_input[0]
 
     with pytest.raises(CapabilityViolation):
-        rogue(None, None)
-
-
-def test_session_instance_mismatch():
-    inst_a = triangle_instance(0)
-    inst_b = triangle_instance(1)
-    sess = ProtocolSession(inst_a, seed=1)
-    with pytest.raises(ValueError):
-        simulate_query(sess, inst_b, Degree(0))
-
-
-def test_budget_enforced():
-    inst = triangle_instance()
-    sess = ProtocolSession(inst, seed=1)
-    oracle = ReductionOracle(sess, budget=3)
-    for _ in range(3):
-        oracle.answer(Degree(0))
-    with pytest.raises(BudgetExceeded):
-        oracle.answer(Degree(0))
+        run_reduction(inst, rogue, seed=1)
 
 
 def test_fuzz_bits_bounded_all_kinds():
@@ -211,7 +191,7 @@ def test_fuzz_bits_bounded_all_kinds():
                     q = RandomEdge()
                 else:
                     q = Degree(v)
-                simulate_query(sess, inst, q)
+                sess.simulate(q)
             assert sess.transcript.max_bits_per_query <= 2, (kind, inst)
 
 
@@ -229,9 +209,7 @@ def test_reduction_soundness():
             CliqueHidingParams(base=path_graph(2), l=2, blocks=8), pp
         )
         view = PublicView.of(inst)
-        out, transcript = run_reduction(
-            inst, lambda o, r: d.run(o, view, 64, r), seed=t
-        )
+        out, transcript = run_reduction(inst, partial(d.run, view), seed=t, budget=64)
         assert transcript.max_bits_per_query <= 2
         if out == disj(pp.x, pp.y):  # compared against f(x, y) directly
             wins += 1
@@ -241,9 +219,9 @@ def test_reduction_soundness():
 def test_transcript_csv_rows():
     inst = clique_instance()
     sess = ProtocolSession(inst, seed=1)
-    simulate_query(sess, inst, Degree(6))  # base-graph vertex: free
-    simulate_query(sess, inst, Degree(0))  # block vertex: 2 bits
-    simulate_query(sess, inst, Pair(3, 4))
+    sess.simulate(Degree(6))  # base-graph vertex: free
+    sess.simulate(Degree(0))  # block vertex: 2 bits
+    sess.simulate(Pair(3, 4))
     rows = sess.transcript.csv_rows(trial=7)
     assert rows == [
         (7, 0, "degree", 0, 0),
@@ -251,3 +229,47 @@ def test_transcript_csv_rows():
         (7, 2, "pair", 2, 4),
     ]
     assert rows[-1][4] == sess.transcript.total_bits
+
+
+def endless_degree_probes(rng):
+    """Never returns: only the driver's budget ends its run."""
+    while True:
+        yield Degree(rng.randrange(16))
+
+
+def test_budget_cuts_an_endless_run_off_with_the_disjoint_label():
+    inst = triangle_instance()
+    for budget in (1, 3, 17):
+        out, transcript = run_reduction(inst, endless_degree_probes, seed=1, budget=budget)
+        assert out == inst.label_for(False)
+        assert transcript.query_count == budget
+
+
+def test_budget_zero_makes_no_query(monkeypatch):
+    inst = triangle_instance()
+    simulated = []
+    real = ProtocolSession.simulate
+    monkeypatch.setattr(ProtocolSession, "simulate",
+                        lambda self, q: simulated.append(q) or real(self, q))
+    out, transcript = run_reduction(inst, endless_degree_probes, seed=1, budget=0)
+    assert out == inst.label_for(False)
+    assert transcript.query_count == 0 and simulated == []
+
+
+def test_a_run_that_returns_early_ends_there():
+    inst = triangle_instance()
+    seen = []
+
+    def three_then_done(rng):
+        for v in range(3):
+            seen.append((yield Degree(v)))
+        return 7
+
+    for budget in (3, 4, 100, None):
+        seen.clear()
+        out, transcript = run_reduction(inst, three_then_done, seed=1, budget=budget)
+        assert out == 7
+        assert transcript.query_count == 3
+        assert seen == [inst.answer(Degree(v)) for v in range(3)]
+    out, transcript = run_reduction(inst, three_then_done, seed=1, budget=2)
+    assert out == inst.label_for(False) and transcript.query_count == 2

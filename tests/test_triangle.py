@@ -1,7 +1,7 @@
 import pytest
 
 from commgraph.bits import BitVec
-from commgraph.embeddings import TriangleParams, TriangleEmbedding as build_triangle, lazy_answer
+from commgraph.embeddings import TriangleParams, TriangleEmbedding as build_triangle
 from commgraph.embeddings.base import ParameterError
 from commgraph.graph import Degree, Neighbor, Pair, validate_graph
 from commgraph.promises import KIntersectOrDisjoint, PromisePair, gen_promise_instance
@@ -77,37 +77,37 @@ def test_degree_rules():
     inst = build_triangle(TriangleParams(l=4, k=2, n=25), pair_with_hits(4, 2, [(0, 0), (1, 1)]))
     # A and B have degree 2l, A' and B' have degree l, padding has degree 0
     for v in range(4):
-        assert lazy_answer(inst, Degree(v)).d == 8  # A
-        assert lazy_answer(inst, Degree(4 + v)).d == 4  # A'
-        assert lazy_answer(inst, Degree(8 + v)).d == 8  # B
-        assert lazy_answer(inst, Degree(12 + v)).d == 4  # B'
-        assert lazy_answer(inst, Degree(16 + v)).d == 8  # S
-    assert lazy_answer(inst, Degree(24)).d == 0
+        assert inst.answer(Degree(v)).d == 8  # A
+        assert inst.answer(Degree(4 + v)).d == 4  # A'
+        assert inst.answer(Degree(8 + v)).d == 8  # B
+        assert inst.answer(Degree(12 + v)).d == 4  # B'
+        assert inst.answer(Degree(16 + v)).d == 8  # S
+    assert inst.answer(Degree(24)).d == 0
 
 
 def test_neighbor_labeling():
     hits = [(0, 2), (3, 3)]
     inst = build_triangle(TriangleParams(l=4, k=2), pair_with_hits(4, 2, hits))
     # a_0's 3rd neighbor is b_2 (hit) and its 1st is a'_0 (miss)
-    assert lazy_answer(inst, Neighbor(0, 3)).w == 8 + 2
-    assert lazy_answer(inst, Neighbor(0, 1)).w == 4 + 0
+    assert inst.answer(Neighbor(0, 3)).w == 8 + 2
+    assert inst.answer(Neighbor(0, 1)).w == 4 + 0
     # positions l+1 .. l+|S| are the witness vertices in index order
     for t in range(4):
-        assert lazy_answer(inst, Neighbor(0, 5 + t)).w == 16 + t
+        assert inst.answer(Neighbor(0, 5 + t)).w == 16 + t
     # symmetric views: b_2's 1st neighbor is a_0 (hit at (0, 2))
-    assert lazy_answer(inst, Neighbor(8 + 2, 1)).w == 0
+    assert inst.answer(Neighbor(8 + 2, 1)).w == 0
     # a'_3's 4th neighbor is b'_3 (hit at (3, 3))
-    assert lazy_answer(inst, Neighbor(4 + 3, 4)).w == 12 + 3
+    assert inst.answer(Neighbor(4 + 3, 4)).w == 12 + 3
 
 
 def test_pair_rules():
     inst = build_triangle(TriangleParams(l=4, k=1), pair_with_hits(4, 1, [(1, 2)]))
-    assert lazy_answer(inst, Pair(1, 8 + 2)).bit == 1  # a_1 - b_2 hit
-    assert lazy_answer(inst, Pair(1, 4 + 2)).bit == 0  # a_1 - a'_2 replaced
-    assert lazy_answer(inst, Pair(0, 8 + 2)).bit == 0  # a_0 - b_2 not a hit
-    assert lazy_answer(inst, Pair(0, 4 + 2)).bit == 1  # a_0 - a'_2 present
-    assert lazy_answer(inst, Pair(2, 16)).bit == 1  # A - S always
-    assert lazy_answer(inst, Pair(4, 16)).bit == 0  # A' - S never
+    assert inst.answer(Pair(1, 8 + 2)).bit == 1  # a_1 - b_2 hit
+    assert inst.answer(Pair(1, 4 + 2)).bit == 0  # a_1 - a'_2 replaced
+    assert inst.answer(Pair(0, 8 + 2)).bit == 0  # a_0 - b_2 not a hit
+    assert inst.answer(Pair(0, 4 + 2)).bit == 1  # a_0 - a'_2 present
+    assert inst.answer(Pair(2, 16)).bit == 1  # A - S always
+    assert inst.answer(Pair(4, 16)).bit == 0  # A' - S never
 
 
 def test_edge_count_is_input_independent():
