@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate
 from typing import Callable, Generator, Iterable, Optional
@@ -24,7 +24,7 @@ from .embeddings import EMBEDDING_CLASSES
 from .embeddings.base import Embedding, ParameterError
 from .graph import Degree, Pair, Query, QueryAnswer, RandomEdge
 from .promises import Promise, PromisePair, gen_promise_instance
-from .protocols import run_reduction
+from .protocols import ProtocolRun, run_reduction
 from .rng import derive_seed
 
 AMPLIFIER_SAMPLES = 7
@@ -70,7 +70,8 @@ class Distinguisher:
     run cut off outputs ``view.label_disjoint``.  With the same randomness,
     the run at budget T is then the first T queries of the run at any
     larger budget, which is what lets ``minimal_budget`` read the success
-    at every budget up to hi from one set of trials run at hi.
+    at every budget up to hi from one set of trials run at hi, and resume
+    each run at the next hi instead of replaying it.
     """
 
     name: str
@@ -90,11 +91,14 @@ class Distinguisher:
 
 @dataclass(frozen=True)
 class Trial:
-    """One trial's instance, its true label and its public view."""
+    """One trial's instance, its true label, its public view and its
+    protocol run.  A kept trial (``_KeptTrials``) holds no ``inst``: its
+    run holds the instance only while it is live."""
 
-    inst: Embedding
+    inst: Optional[Embedding]
     truth: int
     view: PublicView
+    run: ProtocolRun
 
 
 @dataclass(frozen=True)
@@ -106,25 +110,38 @@ class InstanceFamily:
     promise: Promise
     build: Callable[[PromisePair], Embedding]
 
-    def draw(self, seed: int, t: int) -> Trial:
-        """Trial t: its inputs come from ``derive_seed(seed, t, 0)`` alone."""
+    def trial(self, d: Distinguisher, seed: int, t: int) -> Trial:
+        """Trial t of ``d``, not yet run: its inputs come from
+        ``derive_seed(seed, t, 0)`` alone and its randomness from
+        ``derive_seed(seed, t, 1)`` alone."""
         pp = gen_promise_instance(self.n_bits, self.promise, derive_seed(seed, t, 0))
         inst = self.build(pp)
-        return Trial(inst, inst.gap_label(), PublicView.of(inst))
+        view = PublicView.of(inst)
+        run = ProtocolRun(inst, partial(d.run, view), derive_seed(seed, t, 1))
+        return Trial(inst, inst.gap_label(), view, run)
 
 
 @dataclass(frozen=True)
 class _KeptTrials(InstanceFamily):
-    """A family that keeps every trial it draws, so the steps of one budget
-    search, which all draw at the search's seed, run the same instances
-    without drawing or building them again."""
+    """A family that keeps every trial it starts, run and all.  The steps
+    of one budget search all run one distinguisher at the search's seed,
+    so each step continues every trial's run where the last step cut it
+    off (``ProtocolRun``): no trial is drawn, built or replayed again, and
+    a search simulates min(q, hi) queries per trial in all, where q is the
+    number the trial makes before it returns and hi is the last step.  A
+    run that has returned keeps only its output and transcript, so only
+    live trials hold an instance."""
 
     kept: list = field(default_factory=list, compare=False, repr=False)
 
-    def draw(self, seed: int, t: int) -> Trial:
+    @classmethod
+    def of(cls, family: InstanceFamily) -> "_KeptTrials":
+        return cls(family.kind, family.n_bits, family.promise, family.build)
+
+    def trial(self, d: Distinguisher, seed: int, t: int) -> Trial:
         kept = self.kept
         while len(kept) <= t:
-            kept.append(super().draw(seed, len(kept)))
+            kept.append(replace(super().trial(d, seed, len(kept)), inst=None))
         return kept[t]
 
 
@@ -188,7 +205,7 @@ def run_distinguisher_trials(
     ``mean_bits`` is the mean transcript total per trial.  Trial t draws
     its inputs and randomness from ``derive_seed(seed, t, .)`` alone, so
     the same seed runs the same trials at every budget.  Each trial is
-    drawn (``family.draw``) only after the previous one's ``on_trial``
+    drawn (``family.trial``) only after the previous one's ``on_trial``
     has run, and an ``InstanceFamily`` keeps none of them.  ``on_trial``
     gets ``(t, output, truth, transcript, view)`` after each trial.
     """
@@ -197,11 +214,9 @@ def run_distinguisher_trials(
     total_bits = 0
     max_bits = 0
     for t in range(trials):
-        trial = family.draw(seed, t)
+        trial = family.trial(d, seed, t)
         truth, view = trial.truth, trial.view
-        output, transcript = run_reduction(
-            trial.inst, partial(d.run, view), derive_seed(seed, t, 1), budget
-        )
+        output, transcript = run_reduction(trial.run, budget)
         if output == truth:
             successes += 1
         total_bits += transcript.total_bits
@@ -301,7 +316,12 @@ class CoupledTrials:
     A run at T is the run at hi cut off after T answers (see
     ``Distinguisher``).  So if the run at hi made q queries, its queries at
     T are the first min(q, T), and it outputs the hi run's label at every
-    T >= q and the disjoint label, the cut-off's, at every T < q.
+    T >= q and the disjoint label, the cut-off's, at every T < q.  On a
+    family that keeps its trials (``_KeptTrials``), the run at hi resumes
+    each trial's run from a smaller earlier step, so it simulates only the
+    queries that step did not reach; on any other family it runs every
+    trial from query 1.  Either way the trials, and so this object, are
+    the same.
     """
 
     family: InstanceFamily
@@ -361,11 +381,19 @@ def minimal_budget(
     Doubling steps hi = 1, 2, 4, ... (up to the cap, 64 N by default) each
     run one set of trials on the same seed, so every trial keeps its inputs
     and randomness at every budget, and the success count at each T <= hi
-    is read from that one set (``CoupledTrials``).  The first step where
-    some T reaches the target ends the search; the row comes from the same
-    trials.  Returns (None, None) if no budget reaches the target."""
+    is read from that one set (``CoupledTrials``).  Each step resumes every
+    unfinished trial's run where the previous step cut it off
+    (``_KeptTrials``), so the search simulates min(q, hi) queries per
+    trial in all, where q is the number the trial makes before it returns
+    and hi < 2 T* is the last step.  The first step where some T reaches
+    the target ends the search; the row comes from the same trials.
+    Returns (None, None) if no budget reaches the target, at once, with no
+    trial drawn, if even ``trials`` successes out of ``trials`` would not."""
+    check_trials(family, d, 0, trials)  # what the first step would refuse
+    if wilson_lower(trials, trials) < target:
+        return None, None
     cap = budget_cap if budget_cap is not None else 64 * family.n_bits
-    kept = _KeptTrials(family.kind, family.n_bits, family.promise, family.build)
+    kept = _KeptTrials.of(family)
     hi = 1
     while hi <= cap:
         coupled = CoupledTrials.run(kept, d, hi, trials, seed)

@@ -7,9 +7,13 @@ party reveals its bit, the second reveals its bit, 2 bits on the wire.
 Queries whose answers never touch an input coordinate cost 0 bits.
 
 An algorithm is a generator: it yields queries, receives their answers
-and returns its output.  ``run_reduction`` is the one driver; it sends
-every query through ``ProtocolSession.simulate`` and stops the run at the
-budget, so an algorithm never holds the session or the inputs.
+and returns its output.  A ``ProtocolRun`` holds one such generator with
+its session; ``run_reduction`` is the one driver: it sends every query
+through ``ProtocolSession.simulate`` and stops the run at the budget, so an
+algorithm never holds the session or the inputs.  A run stopped at budget
+T resumes at a larger budget where it stopped, so a run taken through the
+budgets 1, 2, 4, ..., hi simulates each of its queries once: min(q, hi)
+in all, where q is the number it makes before it returns.
 
 Capability separation is enforced dynamically: each party's input lives
 in a guarded container that only the owning party's context may read.
@@ -148,29 +152,66 @@ class ProtocolSession:
         return answer
 
 
-def run_reduction(
-    inst: Embedding,
-    algorithm: Callable[[random.Random], Generator[Query, QueryAnswer, int]],
-    seed: int,
-    budget: Optional[int] = None,
-) -> tuple[int, Transcript]:
-    """Drive ``algorithm(rng)`` with every query it yields answered through
-    the two-party simulation.  Its randomness is the parties' shared
-    stream, so its output plus the transcript is a communication protocol
-    for the instance's promise problem.
+class ProtocolRun:
+    """One algorithm's run on one instance, resumable at a larger budget.
 
-    After ``budget`` answers the run is cut off and outputs the disjoint
-    label, ``inst.label_for(False)``; with no budget it runs until the
-    generator returns.  The algorithm never sees the budget, so the run at
-    budget T is the first T queries of the run at any larger budget."""
-    session = ProtocolSession(inst, seed)
-    run = algorithm(session.shared_rng)
+    A run that ``run_reduction`` cut off after T answers keeps its session,
+    its generator and the query waiting for an answer; a later call at a
+    budget T' > T continues it from there.  With the same shared rng
+    stream, that is the run a fresh call at T' makes (the prefix
+    contract).  Once the generator returns, the run keeps only its
+    ``output`` and ``transcript``: session, generator, rng and instance
+    are dropped."""
+
+    __slots__ = ("session", "generator", "pending", "output", "transcript")
+
+    def __init__(
+        self,
+        inst: Embedding,
+        algorithm: Callable[[random.Random], Generator[Query, QueryAnswer, int]],
+        seed: int,
+    ):
+        session = ProtocolSession(inst, seed)
+        self.session: Optional[ProtocolSession] = session
+        self.generator = algorithm(session.shared_rng)
+        self.pending: Optional[Query] = None  # the query awaiting its answer
+        self.output: Optional[int] = None
+        self.transcript = session.transcript
+
+
+def run_reduction(run: ProtocolRun, budget: Optional[int] = None) -> tuple[int, Transcript]:
+    """Drive ``run``'s algorithm with every query it yields answered
+    through the two-party simulation, until it returns or has ``budget``
+    answers in all.  Its randomness is the parties' shared stream, so its
+    output plus the transcript is a communication protocol for the
+    instance's promise problem.
+
+    A run still asking after ``budget`` answers is cut off and outputs the
+    disjoint label, ``inst.label_for(False)``; with no budget it runs
+    until the generator returns.  The algorithm never sees the budget, so
+    the run at budget T is the first T queries of the run at any larger
+    budget, and a cut-off run is continued, not replayed, by a later call
+    at a larger budget."""
+    transcript = run.transcript
+    if budget is not None and budget < transcript.query_count:
+        raise ValueError(
+            f"run already made {transcript.query_count} queries; cannot cut it off at {budget}"
+        )
+    session = run.session
+    if session is None:
+        return run.output, transcript
+    generator = run.generator
     simulate = session.simulate
     try:
-        query = next(run)
-        for _ in count() if budget is None else range(budget):
-            query = run.send(simulate(query))
+        query = run.pending
+        if query is None:
+            query = next(generator)
+        steps = count() if budget is None else range(budget - transcript.query_count)
+        for _ in steps:
+            query = generator.send(simulate(query))
     except StopIteration as done:
-        return done.value, session.transcript
-    run.close()
-    return inst.label_for(False), session.transcript
+        run.output = done.value
+        run.session = run.generator = run.pending = None
+        return done.value, transcript
+    run.pending = query
+    return session.instance.label_for(False), transcript

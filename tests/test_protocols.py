@@ -23,6 +23,7 @@ from commgraph.promises import (
 )
 from commgraph.protocols import (
     CapabilityViolation,
+    ProtocolRun,
     ProtocolSession,
     TranscriptEntry,
     run_reduction,
@@ -115,7 +116,7 @@ def test_transcript_totals():
             yield Pair(0, 1)  # in-block pair: input-dependent
         return 0
 
-    _, transcript = run_reduction(inst, five_pair_probes, seed=3)
+    _, transcript = run_reduction(ProtocolRun(inst, five_pair_probes, seed=3))
     assert transcript.total_bits == 10
     assert transcript.query_count == 5
 
@@ -128,7 +129,7 @@ def test_degree_queries_free_for_triangle_reduction():
             yield Degree(v)
         return 0
 
-    _, transcript = run_reduction(inst, degree_sweep, seed=3)
+    _, transcript = run_reduction(ProtocolRun(inst, degree_sweep, seed=3))
     assert transcript.total_bits == 0
 
 
@@ -161,7 +162,7 @@ def test_capability_guard():
         return sess.bob_input[0]
 
     with pytest.raises(CapabilityViolation):
-        run_reduction(inst, rogue, seed=1)
+        run_reduction(ProtocolRun(inst, rogue, seed=1))
 
 
 def test_fuzz_bits_bounded_all_kinds():
@@ -209,7 +210,7 @@ def test_reduction_soundness():
             CliqueHidingParams(base=path_graph(2), l=2, blocks=8), pp
         )
         view = PublicView.of(inst)
-        out, transcript = run_reduction(inst, partial(d.run, view), seed=t, budget=64)
+        out, transcript = run_reduction(ProtocolRun(inst, partial(d.run, view), seed=t), budget=64)
         assert transcript.max_bits_per_query <= 2
         if out == disj(pp.x, pp.y):  # compared against f(x, y) directly
             wins += 1
@@ -240,7 +241,9 @@ def endless_degree_probes(rng):
 def test_budget_cuts_an_endless_run_off_with_the_disjoint_label():
     inst = triangle_instance()
     for budget in (1, 3, 17):
-        out, transcript = run_reduction(inst, endless_degree_probes, seed=1, budget=budget)
+        out, transcript = run_reduction(
+            ProtocolRun(inst, endless_degree_probes, seed=1), budget=budget
+        )
         assert out == inst.label_for(False)
         assert transcript.query_count == budget
 
@@ -251,7 +254,7 @@ def test_budget_zero_makes_no_query(monkeypatch):
     real = ProtocolSession.simulate
     monkeypatch.setattr(ProtocolSession, "simulate",
                         lambda self, q: simulated.append(q) or real(self, q))
-    out, transcript = run_reduction(inst, endless_degree_probes, seed=1, budget=0)
+    out, transcript = run_reduction(ProtocolRun(inst, endless_degree_probes, seed=1), budget=0)
     assert out == inst.label_for(False)
     assert transcript.query_count == 0 and simulated == []
 
@@ -267,9 +270,48 @@ def test_a_run_that_returns_early_ends_there():
 
     for budget in (3, 4, 100, None):
         seen.clear()
-        out, transcript = run_reduction(inst, three_then_done, seed=1, budget=budget)
+        out, transcript = run_reduction(ProtocolRun(inst, three_then_done, seed=1), budget=budget)
         assert out == 7
         assert transcript.query_count == 3
         assert seen == [inst.answer(Degree(v)) for v in range(3)]
-    out, transcript = run_reduction(inst, three_then_done, seed=1, budget=2)
+    out, transcript = run_reduction(ProtocolRun(inst, three_then_done, seed=1), budget=2)
     assert out == inst.label_for(False) and transcript.query_count == 2
+
+
+def test_a_cut_off_run_resumes_where_it_stopped():
+    inst = clique_instance()
+
+    def pair_probes(seen):
+        def run(rng):
+            while True:
+                seen.append((yield Pair(rng.randrange(inst.n), rng.randrange(inst.n))))
+
+        return run
+
+    resumed_seen, fresh_seen = [], []
+    resumed = ProtocolRun(inst, pair_probes(resumed_seen), seed=4)
+    for budget in (0, 1, 3, 3, 10):
+        out, transcript = run_reduction(resumed, budget)
+        assert out == inst.label_for(False) and transcript.query_count == budget
+    _, replayed = run_reduction(ProtocolRun(inst, pair_probes(fresh_seen), seed=4), 10)
+    assert transcript.entries == replayed.entries
+    assert resumed_seen == fresh_seen
+    with pytest.raises(ValueError, match="cannot cut it off at 9"):
+        run_reduction(resumed, 9)
+
+
+def test_a_returned_run_keeps_only_its_output_and_transcript():
+    inst = triangle_instance()
+
+    def three_then_done(rng):
+        for v in range(3):
+            yield Degree(v)
+        return 7
+
+    run = ProtocolRun(inst, three_then_done, seed=1)
+    assert run_reduction(run, 2)[0] == inst.label_for(False)
+    out, transcript = run_reduction(run, 5)
+    assert (out, transcript.query_count) == (7, 3)
+    assert run.session is run.generator is run.pending is None
+    assert run_reduction(run, 8) == (7, transcript)
+    assert run_reduction(run) == (7, transcript)

@@ -8,7 +8,10 @@ on one.  ``presets.py`` is the exception: its ``*_family`` aliases bind a
 kind name to ``family`` without branching on it.
 
 ``ProtocolSession.simulate`` is the one place in the package that reads
-an ``answer`` attribute, so no query is answered off the transcript.
+an ``answer`` attribute, so no query is answered off the transcript, and
+``protocols.run_reduction`` is the one place that advances a generator
+(``next`` on anything but a generator expression, or ``.send``), so every
+distinguisher run goes through the one driver.
 """
 
 from __future__ import annotations
@@ -34,21 +37,45 @@ def test_no_kind_name_outside_the_constructions():
     assert found == []
 
 
-def _answer_reads(tree: ast.AST, scope: str = ""):
-    """The enclosing class/function path of every ``.answer`` read."""
+def _scopes(tree: ast.AST, match, scope: str = ""):
+    """The enclosing class/function path of every node ``match`` accepts."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _answer_reads(node, f"{scope}{node.name}.")
+            yield from _scopes(node, match, f"{scope}{node.name}.")
             continue
-        if isinstance(node, ast.Attribute) and node.attr == "answer":
+        if match(node):
             yield scope.rstrip(".")
-        yield from _answer_reads(node, scope)
+        yield from _scopes(node, match, scope)
 
 
-def test_only_the_protocol_session_answers_queries():
+def _found_in_src(match) -> list[tuple[str, str]]:
     found = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         tree = ast.parse(path.read_text(), filename=rel)
-        found += [(rel, scope) for scope in _answer_reads(tree)]
-    assert found == [("protocols.py", "ProtocolSession.simulate")]
+        found += [(rel, scope) for scope in _scopes(tree, match)]
+    return found
+
+
+def _reads_answer(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "answer"
+
+
+def _advances_a_generator(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "send"
+    return (
+        isinstance(func, ast.Name) and func.id == "next"
+        and not (node.args and isinstance(node.args[0], ast.GeneratorExp))
+    )
+
+
+def test_only_the_protocol_session_answers_queries():
+    assert _found_in_src(_reads_answer) == [("protocols.py", "ProtocolSession.simulate")]
+
+
+def test_only_run_reduction_drives_a_distinguisher():
+    assert _found_in_src(_advances_a_generator) == [("protocols.py", "run_reduction")] * 2
