@@ -65,13 +65,18 @@ class BitVec:
         nibbles = (self.n + 3) // 4
         return format(self._value << pad, f"0{nibbles}x") if self.n else ""
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit index {i} out of range [0, {self.n})")
+    @property
+    def table(self) -> bytes:
+        """One byte per bit, coordinate i at index i, built on first use."""
         if self._table is None:
             digits = format(self._value, f"0{self.n}b").encode("ascii")
             self._table = digits.translate(_DIGIT_TO_BYTE)
-        return self._table[i]
+        return self._table
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.n:
+            raise IndexError(f"bit index {i} out of range [0, {self.n})")
+        return (self._table or self.table)[i]
 
     def __len__(self) -> int:
         return self.n

@@ -211,8 +211,12 @@ class Embedding:
         q: Query,
         joint: Optional[JointAccess] = None,
         rng: Optional[random.Random] = None,
+        kind: Optional[str] = None,
     ) -> QueryAnswer:
-        kind = query_kind(q)
+        """Answer q by the lazy rules, reading input coordinates through
+        ``joint``; ``kind`` is ``query_kind(q)``, for a caller that has it."""
+        if kind is None:
+            kind = query_kind(q)
         if kind not in self.supported:
             raise UnsupportedQuery(f"{self.kind} does not answer {kind} queries")
         if joint is None:

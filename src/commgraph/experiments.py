@@ -17,7 +17,6 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import accumulate
 from typing import Callable, Generator, Iterable, Optional
 
 from .embeddings import EMBEDDING_CLASSES
@@ -69,9 +68,9 @@ class Distinguisher:
     (``run_reduction``) cuts the run off after the budget's answers, and a
     run cut off outputs ``view.label_disjoint``.  With the same randomness,
     the run at budget T is then the first T queries of the run at any
-    larger budget, which is what lets ``minimal_budget`` read the success
-    at every budget up to hi from one set of trials run at hi, and resume
-    each run at the next hi instead of replaying it.
+    larger budget, which is what lets ``minimal_budget`` take one set of
+    runs through the budgets 1, 2, ... one answer at a time, resuming each
+    run instead of replaying it, and read the success at every budget.
     """
 
     name: str
@@ -123,26 +122,60 @@ class InstanceFamily:
 
 @dataclass(frozen=True)
 class _KeptTrials(InstanceFamily):
-    """A family that keeps every trial it starts, run and all.  The steps
-    of one budget search all run one distinguisher at the search's seed,
-    so each step continues every trial's run where the last step cut it
-    off (``ProtocolRun``): no trial is drawn, built or replayed again, and
-    a search simulates min(q, hi) queries per trial in all, where q is the
-    number the trial makes before it returns and hi is the last step.  A
-    run that has returned keeps only its output and transcript, so only
-    live trials hold an instance."""
+    """One budget search: a family's trials of one distinguisher at one
+    seed, each drawn, built and started once and kept, so ``trial`` hands
+    back the kept trial with its run wherever the search has taken it.
 
-    kept: list = field(default_factory=list, compare=False, repr=False)
+    ``search`` takes every live run on by one answer per budget
+    T = 1, 2, ... (``run_reduction(run, T)``), so by budget T a trial has
+    simulated min(q, T) queries, where q is the number it makes before it
+    returns: the queries of a fresh run at T (see ``Distinguisher``).
+    ``successes[T]`` counts the trials whose run at budget T outputs their
+    truth.  A run still live outputs the cut-off's ``view.label_disjoint``,
+    so the count moves only when a run returns.  A run that has returned
+    keeps only its output and transcript, so only live trials hold an
+    instance."""
+
+    kept: tuple = field(default=(), compare=False, repr=False)
+    successes: list = field(default_factory=list, compare=False, repr=False)
 
     @classmethod
-    def of(cls, family: InstanceFamily) -> "_KeptTrials":
-        return cls(family.kind, family.n_bits, family.promise, family.build)
+    def of(cls, family: InstanceFamily, d: Distinguisher, trials: int, seed: int) -> "_KeptTrials":
+        kept = tuple(replace(family.trial(d, seed, t), inst=None) for t in range(trials))
+        return cls(family.kind, family.n_bits, family.promise, family.build, kept)
 
     def trial(self, d: Distinguisher, seed: int, t: int) -> Trial:
-        kept = self.kept
-        while len(kept) <= t:
-            kept.append(replace(super().trial(d, seed, len(kept)), inst=None))
-        return kept[t]
+        return self.kept[t]
+
+    def search(self, target: float, last: int) -> Optional[int]:
+        """The least budget T <= ``last`` whose success count's Wilson lower
+        bound reaches ``target``, or None.  A returned run's output is
+        final, so the search gives up at the first T where the returned
+        trials that are right plus every live trial have a Wilson lower
+        bound below ``target``: no larger budget can reach it."""
+        trials = len(self.kept)
+        right = sum(trial.view.label_disjoint == trial.truth for trial in self.kept)
+        reachable = trials  # live trials plus those that returned right
+        self.successes.append(right)
+        live = self.kept
+        for budget in range(1, last + 1):
+            still_live = []
+            for trial in live:
+                run = trial.run
+                output, _ = run_reduction(run, budget)
+                if run.session is not None:
+                    still_live.append(trial)
+                    continue
+                truth = trial.truth
+                right += (output == truth) - (trial.view.label_disjoint == truth)
+                reachable -= output != truth
+            live = still_live
+            self.successes.append(right)
+            if wilson_lower(right, trials) >= target:
+                return budget
+            if wilson_lower(reachable, trials) < target:
+                return None
+        return None
 
 
 @dataclass
@@ -309,64 +342,6 @@ def edge_sampling_amplifier(
 # threshold sweeps
 
 
-@dataclass
-class CoupledTrials:
-    """One set of trials run at budget ``hi``, read at every budget T <= hi.
-
-    A run at T is the run at hi cut off after T answers (see
-    ``Distinguisher``).  So if the run at hi made q queries, its queries at
-    T are the first min(q, T), and it outputs the hi run's label at every
-    T >= q and the disjoint label, the cut-off's, at every T < q.  On a
-    family that keeps its trials (``_KeptTrials``), the run at hi resumes
-    each trial's run from a smaller earlier step, so it simulates only the
-    queries that step did not reach; on any other family it runs every
-    trial from query 1.  Either way the trials, and so this object, are
-    the same.
-    """
-
-    family: InstanceFamily
-    hi: int
-    trials: int
-    successes: list[int]  # trials succeeding at budget T, for T = 0..hi
-    bits: list[bytes]  # per trial, the bit cost of each query made at hi
-
-    @classmethod
-    def run(
-        cls, family: InstanceFamily, d: Distinguisher, hi: int, trials: int, seed: int
-    ) -> "CoupledTrials":
-        delta = [0] * (hi + 2)
-        per_trial_bits = []
-
-        def record(t, output, truth, transcript, view):
-            q = transcript.query_count
-            if view.label_disjoint == truth:  # right at every T < q
-                delta[0] += 1
-                delta[q] -= 1
-            if output == truth:  # right at every T >= q
-                delta[q] += 1
-                delta[hi + 1] -= 1
-            per_trial_bits.append(bytes(transcript.bits))
-
-        run_distinguisher_trials(family, d, hi, trials, seed, on_trial=record)
-        return cls(family, hi, trials, list(accumulate(delta[: hi + 1])), per_trial_bits)
-
-    def row(self, budget: int) -> SweepRow:
-        """The row ``run_distinguisher_trials`` reports at ``budget`` on the
-        same seed."""
-        if not 1 <= budget <= self.hi:
-            raise ValueError(f"budget {budget} outside [1, {self.hi}]")
-        prefixes = [bits[:budget] for bits in self.bits]
-        return SweepRow(
-            kind=self.family.kind,
-            n_bits=self.family.n_bits,
-            budget=budget,
-            trials=self.trials,
-            success=self.successes[budget] / self.trials,
-            mean_bits=sum(sum(b) for b in prefixes) / self.trials,
-            max_bits_per_query=max((max(b, default=0) for b in prefixes), default=0),
-        )
-
-
 def minimal_budget(
     family: InstanceFamily,
     d: Distinguisher,
@@ -378,30 +353,31 @@ def minimal_budget(
     """The least budget T* whose Wilson lower bound reaches the target
     success rate, and its row.
 
-    Doubling steps hi = 1, 2, 4, ... (up to the cap, 64 N by default) each
-    run one set of trials on the same seed, so every trial keeps its inputs
-    and randomness at every budget, and the success count at each T <= hi
-    is read from that one set (``CoupledTrials``).  Each step resumes every
-    unfinished trial's run where the previous step cut it off
-    (``_KeptTrials``), so the search simulates min(q, hi) queries per
-    trial in all, where q is the number the trial makes before it returns
-    and hi < 2 T* is the last step.  The first step where some T reaches
-    the target ends the search; the row comes from the same trials.
-    Returns (None, None) if no budget reaches the target, at once, with no
-    trial drawn, if even ``trials`` successes out of ``trials`` would not."""
-    check_trials(family, d, 0, trials)  # what the first step would refuse
-    if wilson_lower(trials, trials) < target:
-        return None, None
+    One set of trials on the seed serves every budget: the search
+    (``_KeptTrials``) takes each trial's run through T = 1, 2, ... one
+    answer at a time, keeps the success count at each T, and stops at the
+    first T that reaches the target.  So it simulates min(q, T*) queries
+    per trial, where q is the number the trial makes before it returns:
+    exactly the queries behind the row, which ``run_distinguisher_trials``
+    then reads from the same runs without simulating any.  Budgets go up
+    to the largest power of two <= the cap (64 N by default), so a cap
+    that is not a power of two ends the search where a doubling search
+    would, and the rows stay those of one.
+
+    Returns (None, None) if no budget reaches the target: at the first T
+    where the trials still live could no longer lift the count to it, or,
+    with no trial drawn, if even ``trials`` successes out of ``trials``
+    would not."""
+    check_trials(family, d, 0, trials)  # what the row would refuse
     cap = budget_cap if budget_cap is not None else 64 * family.n_bits
-    kept = _KeptTrials.of(family)
-    hi = 1
-    while hi <= cap:
-        coupled = CoupledTrials.run(kept, d, hi, trials, seed)
-        for t_star in range(1, hi + 1):
-            if wilson_lower(coupled.successes[t_star], trials) >= target:
-                return t_star, coupled.row(t_star)
-        hi *= 2
-    return None, None
+    last = 1 << (cap.bit_length() - 1) if cap > 0 else 0
+    if last == 0 or wilson_lower(trials, trials) < target:
+        return None, None
+    search = _KeptTrials.of(family, d, trials, seed)
+    t_star = search.search(target, last)
+    if t_star is None:
+        return None, None
+    return t_star, run_distinguisher_trials(search, d, t_star, trials, seed)
 
 
 def threshold_sweep(

@@ -12,8 +12,8 @@ its session; ``run_reduction`` is the one driver: it sends every query
 through ``ProtocolSession.simulate`` and stops the run at the budget, so an
 algorithm never holds the session or the inputs.  A run stopped at budget
 T resumes at a larger budget where it stopped, so a run taken through the
-budgets 1, 2, 4, ..., hi simulates each of its queries once: min(q, hi)
-in all, where q is the number it makes before it returns.
+budgets 1, 2, ..., T simulates each of its queries once: min(q, T) in
+all, where q is the number it makes before it returns.
 
 Capability separation is enforced dynamically: each party's input lives
 in a guarded container that only the owning party's context may read.
@@ -85,12 +85,15 @@ TRANSCRIPT_CSV_HEADER = ("trial", "query_index", "query_kind", "bits", "cumulati
 class _GuardedBits:
     """Read access restricted to the owning party's active context, read
     from the session's ``active`` cell: holding the session itself would
-    leave a finished session for the cyclic collector."""
+    leave a finished session for the cyclic collector.  The first read goes
+    through the vector, which checks the index and builds its byte table;
+    a later read in range indexes that table directly."""
 
-    __slots__ = ("_bits", "_owner", "_active")
+    __slots__ = ("_bits", "_table", "_owner", "_active")
 
     def __init__(self, bits: BitVec, owner: str, active: list):
         self._bits = bits
+        self._table = b""
         self._owner = owner
         self._active = active
 
@@ -99,7 +102,14 @@ class _GuardedBits:
             raise CapabilityViolation(
                 f"{self._owner}'s input read outside {self._owner}'s context"
             )
-        return self._bits[i]
+        if i >= 0:
+            try:
+                return self._table[i]
+            except IndexError:
+                pass
+        bit = self._bits[i]
+        self._table = self._bits.table
+        return bit
 
     def __len__(self) -> int:
         return self._bits.n
@@ -140,14 +150,14 @@ class ProtocolSession:
         return xb & yb
 
     def simulate(self, q: Query) -> QueryAnswer:
-        self._current_coords = set()
+        kind = query_kind(q)
+        self._current_coords = coords = set()
         try:
-            answer = self.instance.answer(q, self.exchange, self.shared_rng)
+            answer = self.instance.answer(q, self.exchange, self.shared_rng, kind)
         finally:
-            coords = self._current_coords
             self._current_coords = None
         transcript = self.transcript
-        transcript.kinds.append(query_kind(q))
+        transcript.kinds.append(kind)
         transcript.bits.append(2 * len(coords))
         return answer
 
@@ -159,7 +169,8 @@ class ProtocolRun:
     its generator and the query waiting for an answer; a later call at a
     budget T' > T continues it from there.  With the same shared rng
     stream, that is the run a fresh call at T' makes (the prefix
-    contract).  Once the generator returns, the run keeps only its
+    contract).  Until then ``output`` is the cut-off label, the instance's
+    disjoint label.  Once the generator returns, the run keeps only its
     ``output`` and ``transcript``: session, generator, rng and instance
     are dropped."""
 
@@ -175,7 +186,7 @@ class ProtocolRun:
         self.session: Optional[ProtocolSession] = session
         self.generator = algorithm(session.shared_rng)
         self.pending: Optional[Query] = None  # the query awaiting its answer
-        self.output: Optional[int] = None
+        self.output: int = inst.label_for(False)
         self.transcript = session.transcript
 
 
@@ -187,16 +198,15 @@ def run_reduction(run: ProtocolRun, budget: Optional[int] = None) -> tuple[int, 
     instance's promise problem.
 
     A run still asking after ``budget`` answers is cut off and outputs the
-    disjoint label, ``inst.label_for(False)``; with no budget it runs
-    until the generator returns.  The algorithm never sees the budget, so
-    the run at budget T is the first T queries of the run at any larger
-    budget, and a cut-off run is continued, not replayed, by a later call
-    at a larger budget."""
+    disjoint label, ``inst.label_for(False)``, kept as ``run.output``; with
+    no budget it runs until the generator returns.  The algorithm never
+    sees the budget, so the run at budget T is the first T queries of the
+    run at any larger budget, and a cut-off run is continued, not replayed,
+    by a later call at a larger budget."""
     transcript = run.transcript
-    if budget is not None and budget < transcript.query_count:
-        raise ValueError(
-            f"run already made {transcript.query_count} queries; cannot cut it off at {budget}"
-        )
+    made = len(transcript.bits)
+    if budget is not None and budget < made:
+        raise ValueError(f"run already made {made} queries; cannot cut it off at {budget}")
     session = run.session
     if session is None:
         return run.output, transcript
@@ -206,7 +216,7 @@ def run_reduction(run: ProtocolRun, budget: Optional[int] = None) -> tuple[int, 
         query = run.pending
         if query is None:
             query = next(generator)
-        steps = count() if budget is None else range(budget - transcript.query_count)
+        steps = count() if budget is None else range(budget - made)
         for _ in steps:
             query = generator.send(simulate(query))
     except StopIteration as done:
@@ -214,4 +224,4 @@ def run_reduction(run: ProtocolRun, budget: Optional[int] = None) -> tuple[int, 
         run.session = run.generator = run.pending = None
         return done.value, transcript
     run.pending = query
-    return session.instance.label_for(False), transcript
+    return run.output, transcript

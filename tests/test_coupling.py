@@ -1,8 +1,8 @@
-"""Prefix-coupled trials: one set of trials at budget hi stands for a
-separate run at every budget T <= hi, and the budget search resumes each
-trial's run at every doubling step, so it simulates each query once.
-Each trial's inputs, instance and run are made once per search, not once
-per step, and a trial's instance is freed once its run has returned."""
+"""Prefix-coupled trials: one set of trials, taken through the budgets
+1, 2, ... one answer at a time, stands for a separate run at every budget,
+so the budget search simulates each query once and only the queries its
+row reports.  Each trial's inputs, instance and run are made once per
+search, and a trial's instance is freed once its run has returned."""
 
 import dataclasses
 import gc
@@ -12,18 +12,17 @@ import pytest
 
 from commgraph import experiments
 from commgraph.experiments import (
-    CoupledTrials,
-    _KeptTrials,
+    Distinguisher,
     distinguisher_by_name,
     minimal_budget,
     run_distinguisher_trials,
     threshold_sweep,
     wilson_lower,
 )
+from commgraph.graph import Pair
 from commgraph.presets import clique_hiding_family, degree_only_family, triangle_family
 from commgraph.protocols import ProtocolSession
 
-HI = 16
 TRIALS = 40
 FAMILIES = [
     ("pair-probe", clique_hiding_family(blocks=16, l=2)),
@@ -41,21 +40,34 @@ def count_simulate_calls(monkeypatch) -> list:
     return calls
 
 
+def record_searches(monkeypatch) -> list:
+    """Keep every budget search's trials (``_KeptTrials``) made from now on."""
+    searches = []
+    of = experiments._KeptTrials.of
+
+    def recording(*args):
+        searches.append(of(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(experiments._KeptTrials, "of", recording)
+    return searches
+
+
 @pytest.mark.parametrize("name, family", FAMILIES)
-def test_coupled_rows_equal_separate_runs(name, family):
+def test_coupled_rows_equal_separate_runs(name, family, monkeypatch):
     d = distinguisher_by_name(name)
-    coupled = CoupledTrials.run(family, d, HI, TRIALS, seed=31)
-    for budget in range(1, HI + 1):
+    searches = record_searches(monkeypatch)
+    calls = count_simulate_calls(monkeypatch)
+    t_star, row = minimal_budget(family, d, TRIALS, seed=31)
+    [search] = searches
+    assert t_star is not None and len(search.successes) == t_star + 1
+    # the search simulated min(q, T*) queries per trial: the row's queries
+    assert len(calls) == sum(trial.run.transcript.query_count for trial in search.kept)
+    for budget in range(1, t_star + 1):
         separate = run_distinguisher_trials(family, d, budget, TRIALS, seed=31)
-        assert coupled.successes[budget] == round(separate.success * TRIALS), budget
-        assert coupled.row(budget) == separate, budget
-
-
-def test_coupled_success_is_monotone_and_reaches_every_trial():
-    d = distinguisher_by_name("pair-probe")
-    coupled = CoupledTrials.run(clique_hiding_family(blocks=8, l=2), d, 64, 100, seed=3)
-    assert coupled.successes == sorted(coupled.successes)
-    assert coupled.successes[64] >= 95
+        assert search.successes[budget] == round(separate.success * TRIALS), budget
+        assert wilson_lower(search.successes[budget], TRIALS) < 2 / 3 or budget == t_star
+    assert row == separate
 
 
 def test_minimal_budget_row_matches_a_separate_run_at_t_star():
@@ -67,43 +79,27 @@ def test_minimal_budget_row_matches_a_separate_run_at_t_star():
     assert minimal_budget(family, d, trials=120, seed=8, budget_cap=1) == (None, None)
 
 
-@pytest.mark.parametrize("name, family", FAMILIES)
-def test_resumed_steps_equal_a_fresh_run_at_each_step(name, family, monkeypatch):
-    d = distinguisher_by_name(name)
-    kept = _KeptTrials.of(family)
-    calls = count_simulate_calls(monkeypatch)
-    hi = 1
-    while hi <= HI:
-        resumed = CoupledTrials.run(kept, d, hi, TRIALS, seed=31)
-        simulated = len(calls)
-        fresh = CoupledTrials.run(family, d, hi, TRIALS, seed=31)
-        del calls[simulated:]
-        assert resumed.successes == fresh.successes, hi
-        assert resumed.bits == fresh.bits, hi
-        for budget in range(1, hi + 1):
-            assert resumed.row(budget) == fresh.row(budget), (hi, budget)
-        # every query of the steps so far was simulated once: min(q, hi) per trial
-        assert simulated == sum(map(len, resumed.bits)), hi
-        hi *= 2
+def test_budgets_go_up_to_the_largest_power_of_two_under_the_cap():
+    family = clique_hiding_family(blocks=32, l=2, base_n=2, base_m=1)
+    d = distinguisher_by_name("pair-probe")
+    t_star, _ = minimal_budget(family, d, trials=120, seed=8)
+    low = 1 << (t_star.bit_length() - 1)
+    assert low < t_star < 2 * low - 1, t_star
+    assert minimal_budget(family, d, 120, seed=8, budget_cap=2 * low - 1) == (None, None)
+    assert minimal_budget(family, d, 120, seed=8, budget_cap=2 * low)[0] == t_star
 
 
 @pytest.mark.parametrize("name, family", FAMILIES)
 def test_a_search_starts_each_trial_run_once(name, family, monkeypatch):
     d = distinguisher_by_name(name)
-    starts, steps = [], []
-    trial_loop = experiments.run_distinguisher_trials
+    starts = []
 
     def run(view, rng):
         starts.append(view)
         return d.run(view, rng)
 
-    def step(fam, dist, hi, *args, **kwargs):
-        steps.append(hi)
-        return trial_loop(fam, dist, hi, *args, **kwargs)
-
-    monkeypatch.setattr(experiments, "run_distinguisher_trials", step)
     t_star, _ = minimal_budget(family, dataclasses.replace(d, run=run), TRIALS, seed=4)
-    assert t_star is not None and len(steps) >= 3, (t_star, steps)
+    assert t_star is not None and t_star > 1, t_star
     assert len(starts) == TRIALS
 
 
@@ -122,7 +118,31 @@ def test_an_unreachable_target_is_refused_before_any_trial_is_drawn(monkeypatch,
     )
 
 
-def test_sweep_work_is_within_2x_of_the_reported_queries(monkeypatch):
+def test_a_search_gives_up_once_two_thirds_is_out_of_reach(monkeypatch, capsys):
+    # Every input pair is disjoint, so a run that returns the intersecting
+    # label is wrong.  About half the runs return it on their first answer and
+    # the rest never return, so after budget 1 at most about half can be right.
+    def wrong_or_endless(view, rng):
+        gives_up = rng.random() < 0.5
+        while True:
+            yield Pair(0, 1)
+            if gives_up:
+                return view.label_intersecting
+
+    d = Distinguisher("wrong-or-endless", "witness_pair", wrong_or_endless)
+    family = clique_hiding_family(blocks=16, l=2, promise="disjoint")
+    calls = count_simulate_calls(monkeypatch)
+    assert minimal_budget(family, d, TRIALS, seed=6) == (None, None)
+    assert len(calls) <= TRIALS
+    del calls[:]
+    rows = threshold_sweep(
+        lambda n: clique_hiding_family(blocks=n, l=2, promise="disjoint"), [16], d, 6, TRIALS
+    )
+    assert rows == [] and len(calls) <= TRIALS
+    assert capsys.readouterr().err == "skipping N=16: no budget reached 2/3 success\n"
+
+
+def test_sweep_work_equals_the_reported_queries(monkeypatch):
     calls = count_simulate_calls(monkeypatch)
     rows = threshold_sweep(
         lambda n: clique_hiding_family(blocks=n, l=2, base_n=2, base_m=1),
@@ -133,9 +153,9 @@ def test_sweep_work_is_within_2x_of_the_reported_queries(monkeypatch):
     )
     assert len(rows) == 3
     # every pair-probe query costs 2 bits
-    reported = sum(r.trials * r.mean_bits / 2 for r in rows)
-    # each trial simulates min(q, hi) queries and reports min(q, T*), with hi < 2 T*
-    assert len(calls) <= 2 * reported, (len(calls), reported)
+    reported = round(sum(r.trials * r.mean_bits / 2 for r in rows))
+    # each trial simulates min(q, T*) queries and reports as many
+    assert len(calls) == reported, (len(calls), reported)
 
 
 def test_sweep_draws_and_builds_each_trial_once_per_grid_point(monkeypatch):
@@ -189,7 +209,7 @@ def test_one_shot_trials_keep_one_instance_alive_at_a_time():
 def test_a_search_frees_each_finished_trial_instance_before_it_returns(monkeypatch):
     family = clique_hiding_family(blocks=32, l=2, base_n=2, base_m=1)
     d = distinguisher_by_name("pair-probe")
-    refs, finished, live_finished = [], [], []
+    refs, finished, rows_read = [], [], []
 
     def build(pp):
         inst = family.build(pp)
@@ -205,13 +225,12 @@ def test_a_search_frees_each_finished_trial_instance_before_it_returns(monkeypat
 
     trial_loop = experiments.run_distinguisher_trials
 
-    def step(*args, **kwargs):
-        row = trial_loop(*args, **kwargs)
+    def read_row(*args, **kwargs):
         done = [t for t, f in enumerate(finished) if f]
-        live_finished.append((len(done), [t for t in done if refs[t]() is not None]))
-        return row
+        rows_read.append((len(done), [t for t in done if refs[t]() is not None]))
+        return trial_loop(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_distinguisher_trials", step)
+    monkeypatch.setattr(experiments, "run_distinguisher_trials", read_row)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -222,6 +241,6 @@ def test_a_search_frees_each_finished_trial_instance_before_it_returns(monkeypat
     finally:
         if enabled:
             gc.enable()
-    assert t_star is not None and len(live_finished) >= 3
-    assert live_finished[-2][0] > 0  # some trial finished before the last step
-    assert all(alive == [] for _, alive in live_finished), live_finished
+    assert t_star is not None and len(rows_read) == 1
+    [(done, alive)] = rows_read
+    assert done > 0 and alive == [], rows_read

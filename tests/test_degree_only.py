@@ -8,6 +8,7 @@ from commgraph.embeddings import DegreeOnlyParams
 from commgraph.embeddings.base import UnsupportedQuery
 from commgraph.graph import Degree, Neighbor, Pair, RandomEdge, validate_graph
 from commgraph.promises import PromisePair, UniqueIntersection
+from commgraph.protocols import ProtocolSession
 
 
 def intersecting(n, k, hot=1):
@@ -71,6 +72,18 @@ def test_only_degree_queries_supported():
         inst.answer(Pair(4, 8))
     with pytest.raises(UnsupportedQuery):
         inst.answer(RandomEdge(), rng=random.Random(0))
+
+
+def test_a_protocol_pair_query_is_refused_with_no_bit_exchanged():
+    # The pair rule reads the shared block, which is disjointness itself, so
+    # it serves materialization only and must stay off the protocol path.
+    assert "pair" not in build_degree_only.supported
+    inst = intersecting(12, 2, hot=1)
+    assert inst.materialize().has_edge(2, 4)
+    session = ProtocolSession(inst, seed=1)
+    with pytest.raises(UnsupportedQuery):
+        session.simulate(Pair(2, 4))
+    assert session.transcript.query_count == 0 and session.transcript.total_bits == 0
 
 
 def test_padding_to_multiple_of_3k():

@@ -26,6 +26,7 @@ from commgraph.protocols import (
     ProtocolRun,
     ProtocolSession,
     TranscriptEntry,
+    _GuardedBits,
     run_reduction,
 )
 
@@ -163,6 +164,19 @@ def test_capability_guard():
 
     with pytest.raises(CapabilityViolation):
         run_reduction(ProtocolRun(inst, rogue, seed=1))
+
+
+def test_a_guarded_read_checks_owner_and_index_after_the_first_read():
+    bits = bits_from_string("10110")
+    active = ["alice"]
+    guarded = _GuardedBits(bits, "alice", active)
+    assert [guarded[i] for i in range(5)] == list(bits)
+    for i in (-1, 5):
+        with pytest.raises(IndexError, match="out of range"):
+            guarded[i]
+    active[0] = "bob"
+    with pytest.raises(CapabilityViolation):
+        guarded[0]
 
 
 def test_fuzz_bits_bounded_all_kinds():
