@@ -10,7 +10,8 @@ from __future__ import annotations
 import bisect
 import random
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
+from operator import contains, eq, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 
@@ -98,8 +99,9 @@ def check_query(q: Query, n: int) -> None:
 class ExplicitGraph:
     """Materialized simple undirected graph with explicit neighbor orderings.
 
-    The per-row neighbor sets are built on first use: only ``has_edge`` and
-    ``validate_graph`` read them."""
+    The per-row neighbor sets are built on first use and kept: only
+    ``has_edge`` and the findings walk of ``validate_graph`` (which runs on
+    an invalid graph) read them."""
 
     def __init__(self, n: int, adjacency: Sequence[Sequence[int]]):
         if len(adjacency) != n:
@@ -208,19 +210,72 @@ def validate_graph(g: ExplicitGraph) -> list[str]:
     return findings
 
 
+_SHORT_ROW = 8  # a row shorter than this is searched as the tuple itself
+
+
+def _stretches(adj: Sequence[tuple[int, ...]]):
+    """Each stretch of consecutive rows of one length: its vertices as a
+    range, the length and the rows."""
+    first = 0
+    for length, rows in groupby(adj, key=len):
+        rows = list(rows)
+        yield range(first, first + len(rows)), length, rows
+        first += len(rows)
+
+
+def _column(rows: list[tuple[int, ...]], j: int):
+    """The j-th neighbor of each of ``rows``, in order."""
+    return map(itemgetter(j), rows)
+
+
 def _valid_in_bulk(g: ExplicitGraph) -> bool:
     """Every neighbor in range, no self-loop, no duplicate in a row, and
-    every listed edge listed back, checked with no per-edge Python code."""
-    n, sets = g.n, g.row_sets
-    flat = list(chain.from_iterable(g.adj))
-    if flat and (min(flat) < 0 or max(flat) >= n):
-        return False
-    owners = chain.from_iterable(map(repeat, range(n), map(len, g.adj)))
-    return (
-        sum(map(len, sets)) == len(flat)
-        and not any(map(frozenset.__contains__, sets, range(n)))
-        and all(map(frozenset.__contains__, map(sets.__getitem__, flat), owners))
-    )
+    every listed edge listed back, checked with no per-edge Python code.
+
+    Rows are taken in stretches of one length.  A stretch of short rows is
+    read column by column (a duplicate is two columns equal in one row),
+    and each short row is its own vertex's search target.  Longer rows
+    come in runs of consecutive equal rows (the constructions share one
+    row object per block): each run's row is checked once, and one
+    frozenset of it, kept only for this call, is the search target of the
+    whole run.  Listed back is checked once every target is known.
+    Nothing is cached on the graph."""
+    ids = range(g.n)
+    stretches = list(_stretches(g.adj))
+    targets = []
+    for vertices, length, rows in stretches:
+        if length < _SHORT_ROW:
+            columns = range(length)
+            if (
+                not all(all(map(ids.__contains__, _column(rows, j))) for j in columns)
+                or any(any(map(eq, _column(rows, i), _column(rows, j)))
+                       for j in columns for i in range(j))
+                or any(map(contains, rows, vertices))
+            ):
+                return False
+            targets += rows
+            continue
+        for row, run in groupby(rows):
+            run = range(len(targets), len(targets) + len(list(run)))
+            distinct = frozenset(row)
+            if (
+                len(distinct) < length
+                or not all(map(ids.__contains__, row))
+                or any(map(run.__contains__, row))
+            ):
+                return False
+            targets += repeat(distinct, len(run))
+    for vertices, length, rows in stretches:
+        # (listed neighbors, the vertex listing each) in one or more passes
+        if length < _SHORT_ROW:
+            passes = [(_column(rows, j), vertices) for j in range(length)]
+        else:
+            owners = chain.from_iterable(map(repeat, vertices, repeat(length)))
+            passes = [(chain.from_iterable(rows), owners)]
+        for neighbors, owners in passes:
+            if not all(map(contains, map(targets.__getitem__, neighbors), owners)):
+                return False
+    return True
 
 
 class DegreeRuns:
@@ -267,24 +322,24 @@ def sample_edge_by_degrees(
     return (v, w) if v < w else (w, v)
 
 
-class _IdNames(dict):
-    """Vertex id -> decimal name; an id outside the table prints as ``str``
-    prints it."""
-
-    def __missing__(self, w: int) -> str:
-        return str(w)
-
-
 def dump_edge_list(g: ExplicitGraph) -> str:
-    """Text form: header 'n <count>', then 'v: w1 w2 ... wd' per vertex.
+    """Text form: header 'n <count>', then 'v: w1 w2 ... wd' per vertex
+    ('v:' for a vertex with no neighbor).
 
-    Each id in [0, n) is formatted once; row heads and neighbor tokens both
-    come from that table."""
-    names = list(map(str, range(g.n)))
-    name = _IdNames(enumerate(names)).__getitem__
-    join = " ".join
+    Ids are written as ``str`` writes them, with no table of names.  Rows
+    are taken in stretches of one length: each line of a stretch of short
+    rows is one ``str.format`` call over the stretch's columns, and a run
+    of consecutive equal longer rows (the constructions share one row
+    object per block) formats its row once."""
     lines = [f"n {g.n}"]
-    lines += [f"{head}: {join(map(name, row))}" if row else f"{head}:" for head, row in zip(names, g.adj)]
+    for vertices, length, rows in _stretches(g.adj):
+        if length < _SHORT_ROW:
+            line = ("{}:" + " {}" * length).format
+            lines += map(line, vertices, *(_column(rows, j) for j in range(length)))
+            continue
+        texts = (repeat(": " + " ".join(map(str, row)), len(list(run)))
+                 for row, run in groupby(rows))
+        lines += map(str.__add__, map(str, vertices), chain.from_iterable(texts))
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,7 @@ from commgraph.bits import BitVec
 from commgraph.embeddings.base import Embedding
 from commgraph.families import lex_graph
 from commgraph.graph import Degree, ExplicitGraph, Neighbor, Pair, answer_on_explicit
+from commgraph.presets import family
 from commgraph.promises import (
     Disjoint,
     KIntersectOrDisjoint,
@@ -140,6 +141,16 @@ def dump_by_str(g: ExplicitGraph) -> str:
     lines = [f"n {g.n}"]
     lines += [f"{v}: {' '.join(map(str, row))}" if row else f"{v}:" for v, row in enumerate(g.adj)]
     return "\n".join(lines) + "\n"
+
+
+def instance_on_side(kind: str, intersecting: bool, **flags) -> Embedding:
+    """The instance of ``family(kind, **flags)`` built from the first promise
+    pair on the given side over seeds 0, 1, 2, ..."""
+    fam = family(kind, **flags)
+    seed = 0
+    while (pp := gen_promise_instance(fam.n_bits, fam.promise, seed)).intersecting != intersecting:
+        seed += 1
+    return fam.build(pp)
 
 
 def bits_from_string(s: str) -> BitVec:

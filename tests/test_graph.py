@@ -24,7 +24,9 @@ from commgraph.graph import (
     validate_graph,
 )
 from helpers import (
+    dump_by_str,
     empirical_distribution,
+    instance_on_side,
     random_instance,
     tvd,
     uniform_distribution,
@@ -116,6 +118,69 @@ def test_validate_graph_reports_the_reference_findings(mutation):
             findings = validate_graph(broken)
             assert findings, (kind, mutation)
             assert findings == validate_by_neighbor(broken), (kind, mutation)
+
+
+# Materializations whose rows are shared per block, short and long: (kind,
+# intersecting side, flags).  The disjoint degree-only graph has several
+# runs of long rows of one length.
+SHARED_ROW_GRAPHS = [
+    ("degree-only", True, dict(n=30, k=3)),
+    ("degree-only", True, dict(n=60, k=10)),
+    ("degree-only", False, dict(n=60, k=10)),
+    ("moments-hiding", True, dict(s=2, alpha=4, c=1, m_tilde=400, blocks=16)),
+]
+
+
+def _shared_runs(adj: list) -> list[tuple[int, int]]:
+    """[first, stop) of each run of two or more vertices that share one
+    nonempty row object."""
+    starts = [v for v in range(len(adj)) if v == 0 or adj[v] is not adj[v - 1]]
+    starts.append(len(adj))
+    return [(a, b) for a, b in zip(starts, starts[1:]) if b - a > 1 and adj[a]]
+
+
+def _mutate_shared(adj: list, mutation: str, rng: random.Random) -> tuple[int, int]:
+    """Break one run of shared rows and keep it shared; returns the run."""
+    n = len(adj)
+    a, b = rng.choice(_shared_runs(adj))
+    row = list(adj[a])
+    at = rng.randint(0, len(row))
+    if mutation == "duplicate":
+        row.insert(at, rng.choice(row))
+    elif mutation == "lists-an-owner":  # a self-loop for that owner only
+        row.insert(at, rng.randrange(a, b))
+    elif mutation == "out-of-range":
+        row.insert(at, rng.choice([-1, n, n + 5]))
+    else:  # one neighbor stops listing one owner of the run back
+        w, owner = rng.choice(row), rng.randrange(a, b)
+        adj[w] = tuple(u for u in adj[w] if u != owner)
+        return a, b
+    adj[a:b] = [tuple(row)] * (b - a)
+    return a, b
+
+
+@pytest.mark.parametrize("mutation", ["duplicate", "lists-an-owner", "not-listed-back",
+                                      "out-of-range"])
+def test_validate_and_dump_match_the_references_on_shared_rows(mutation):
+    """Rows shared by a run of vertices reach the bulk check and the writer
+    as one object: on each kind of break, the findings equal the
+    neighbor-by-neighbor reference word for word, and the text equals the
+    ``str`` writer's."""
+    rng = random.Random(sum(map(ord, mutation)))
+    for kind, intersecting, flags in SHARED_ROW_GRAPHS:
+        g = instance_on_side(kind, intersecting, **flags).materialize()
+        assert _shared_runs(g.adj), kind
+        assert validate_graph(g) == validate_by_neighbor(g) == []
+        assert dump_edge_list(g) == dump_by_str(g)
+        for _ in range(4):
+            adj = list(g.adj)
+            a, b = _mutate_shared(adj, mutation, rng)
+            broken = ExplicitGraph(g.n, adj)
+            assert broken.adj[a] is broken.adj[b - 1], (kind, mutation)
+            findings = validate_graph(broken)
+            assert findings, (kind, mutation)
+            assert findings == validate_by_neighbor(broken), (kind, mutation)
+            assert dump_edge_list(broken) == dump_by_str(broken), (kind, mutation)
 
 
 # --- degree-proportional edge sampling ------------------------------------
