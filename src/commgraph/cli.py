@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from functools import cache
 from pathlib import Path
 
 from .embeddings import ALL_KINDS, EMBEDDING_CLASSES, instance_from_json, instance_to_json
@@ -203,11 +202,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: each ``add_argument``
-    asks ``shutil`` for the terminal size, so a rebuild per ``main`` call
-    costs about a millisecond, and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="commgraph",
         description="Gap-instance constructions over two-party inputs: "
