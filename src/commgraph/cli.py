@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .embeddings import ALL_KINDS, EMBEDDING_CLASSES, instance_from_json, instance_to_json
@@ -192,7 +194,9 @@ def cmd_sweep(args) -> int:
     def family_for(n_bits: int):
         return family(args.kind, **{**flags, cls.swept: cls.swept_value(n_bits, flags)})
 
-    rows = threshold_sweep(family_for, grid, d, args.seed, args.trials)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    rows = threshold_sweep(family_for, grid, d, args.seed, args.trials, workers)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SWEEP_CSV_HEADER)
@@ -202,7 +206,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  It names the command; ``main``
+    looks up ``cmd_<name>`` at call time, so a wrapper installed on a
+    command function after the parser was built still runs."""
     parser = argparse.ArgumentParser(
         prog="commgraph",
         description="Gap-instance constructions over two-party inputs: "
@@ -220,13 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default="instance.json")
     p_gen.add_argument("--side", default="coin",
                        choices=["coin", "disjoint", "intersecting"])
-    p_gen.set_defaults(func=cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run the gap-claim verifier suite")
     p_verify.add_argument("--instance", required=True)
     p_verify.add_argument("--edges", help="edge-list file to check against the instance")
     p_verify.add_argument("--out", help="report JSONL path (default: stdout)")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="run distinguisher trials with transcripts",
                            epilog=PARAM_SCHEMA,
@@ -237,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--transcripts", help="transcript CSV path")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="threshold sweep over instance sizes",
                              epilog=PARAM_SCHEMA,
@@ -248,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=400)
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -258,7 +262,7 @@ def main(argv=None) -> int:
     try:
         if not 0 <= getattr(args, "seed", 0) < 1 << 64:
             raise ConfigError(f"seed must be in [0, 2^64), got {args.seed}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

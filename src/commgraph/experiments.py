@@ -13,6 +13,7 @@ stable under finite-trial noise.
 from __future__ import annotations
 
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -386,26 +387,129 @@ def threshold_sweep(
     d: Distinguisher,
     seed: int,
     trials: int = 400,
+    workers: int = 1,
 ) -> list[SweepRow]:
     """For each grid size, find the minimal budget reaching 2/3 success and
     report it with that budget's bit statistics, all from the search's own
     trials (see ``minimal_budget``).
 
     A grid size whose parameters are invalid, or where no budget reaches
-    2/3 success, is skipped with a line on stderr."""
-    rows = []
-    for idx, n_bits in enumerate(grid):
+    2/3 success, is skipped with a line on stderr.
+
+    Each grid point is an independent search on ``derive_seed(seed, idx)``,
+    so with ``workers`` > 1 the points run in up to that many processes
+    (see ``_forked_outcomes``); rows, skip lines and the first error are
+    still given in grid order, exactly as a serial run gives them."""
+    grid = list(grid)
+
+    def point(idx: int):
+        n_bits = grid[idx]
         try:
             family = family_for(n_bits)
         except ParameterError as exc:
-            print(f"skipping N={n_bits}: {exc}", file=sys.stderr)
-            continue
+            return f"skipping N={n_bits}: {exc}"
         t_star, row = minimal_budget(family, d, trials, derive_seed(seed, idx))
         if t_star is None:
-            print(f"skipping N={n_bits}: no budget reached 2/3 success", file=sys.stderr)
-            continue
-        rows.append(row)
+            return f"skipping N={n_bits}: no budget reached 2/3 success"
+        return row
+
+    count = min(workers, len(grid))
+    if count > 1 and hasattr(os, "fork"):
+        outcomes = _forked_outcomes(point, _balanced_groups(grid, count))
+    else:
+        outcomes = map(point, range(len(grid)))
+    rows = []
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+        if isinstance(outcome, str):
+            print(outcome, file=sys.stderr)
+        else:
+            rows.append(outcome)
     return rows
+
+
+def _balanced_groups(grid: list[int], count: int) -> list[list[int]]:
+    """The grid's indices in ``count`` groups of about equal total N, since a
+    point's cost grows with N: longest processing time first, each point in
+    turn to the lightest group.  Group 0 holds the largest N; each group
+    lists its indices in grid order."""
+    groups = [[] for _ in range(count)]
+    loads = [0] * count
+    for idx in sorted(range(len(grid)), key=lambda i: -grid[i]):
+        lightest = loads.index(min(loads))
+        groups[lightest].append(idx)
+        loads[lightest] += max(grid[idx], 1)
+    return [sorted(group) for group in groups]
+
+
+def _run_group(point: Callable[[int], object], group: list[int]) -> list[tuple[int, object]]:
+    """(index, row or skip line) for the group's points in order; a point
+    that raises ends the group with (index, its exception)."""
+    done = []
+    for idx in group:
+        try:
+            done.append((idx, point(idx)))
+        except Exception as exc:
+            done.append((idx, exc))
+            break
+    return done
+
+
+def _forked_outcomes(point: Callable[[int], object], groups: list[list[int]]) -> list:
+    """Every point's outcome in grid order, the first group run here and
+    each other group in a forked helper that pickles its ``_run_group``
+    back through a pipe.
+
+    A group stops at its first exception, so walking the outcomes in grid
+    order reaches an exception before any point left unrun.  Every helper
+    is reaped on every way out; on a way out by an exception here (the
+    caller interrupted, a helper that died) the helpers are killed first."""
+    import pickle
+    import signal
+
+    pids, pipes = [], []
+    try:
+        for group in groups[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _helper(write_end, point, group)
+            os.close(write_end)
+            pids.append(pid)
+            pipes.append(open(read_end, "rb"))
+        outcomes = dict(_run_group(point, groups[0]))
+        for pid, pipe in zip(pids, pipes):
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"sweep helper {pid} ended without a result")
+            outcomes.update(pickle.loads(data))
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # one that has ended is a zombie until reaped
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [outcomes[idx] for idx in sorted(outcomes)]
+
+
+def _helper(write_end: int, point: Callable[[int], object], group: list[int]):
+    """A forked helper's whole life: run the group, write its pickled
+    outcomes, and leave through ``os._exit``, so it never prints, never
+    runs the caller's cleanup and never returns into the caller's stack.
+    An exception goes back without its traceback; one that does not
+    pickle leaves the pipe empty."""
+    try:
+        import pickle
+
+        data = pickle.dumps(_run_group(point, group))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
 def loglog_slope(points: list[tuple[float, float]]) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import random
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import contains, eq, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -322,6 +322,9 @@ def sample_edge_by_degrees(
     return (v, w) if v < w else (w, v)
 
 
+_DUMP_CHUNK = 4096
+
+
 def dump_edge_list(g: ExplicitGraph) -> str:
     """Text form: header 'n <count>', then 'v: w1 w2 ... wd' per vertex
     ('v:' for a vertex with no neighbor).
@@ -330,17 +333,24 @@ def dump_edge_list(g: ExplicitGraph) -> str:
     are taken in stretches of one length: each line of a stretch of short
     rows is one ``str.format`` call over the stretch's columns, and a run
     of consecutive equal longer rows (the constructions share one row
-    object per block) formats its row once."""
-    lines = [f"n {g.n}"]
+    object per block) formats its row once.  Lines are joined
+    ``_DUMP_CHUNK`` at a time, so no more than that many are held apart
+    from the text."""
+    lines = chain([f"n {g.n}"], _vertex_lines(g))
+    chunks = iter(lambda: list(islice(lines, _DUMP_CHUNK)), [])
+    return "".join(["\n".join(chunk) + "\n" for chunk in chunks])
+
+
+def _vertex_lines(g: ExplicitGraph):
+    """Each vertex's line, in order (see ``dump_edge_list``)."""
     for vertices, length, rows in _stretches(g.adj):
         if length < _SHORT_ROW:
             line = ("{}:" + " {}" * length).format
-            lines += map(line, vertices, *(_column(rows, j) for j in range(length)))
+            yield from map(line, vertices, *(_column(rows, j) for j in range(length)))
             continue
         texts = (repeat(": " + " ".join(map(str, row)), len(list(run)))
                  for row, run in groupby(rows))
-        lines += map(str.__add__, map(str, vertices), chain.from_iterable(texts))
-    return "\n".join(lines) + "\n"
+        yield from map(str.__add__, map(str, vertices), chain.from_iterable(texts))
 
 
 def load_edge_list(text: str) -> ExplicitGraph:

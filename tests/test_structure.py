@@ -11,7 +11,9 @@ kind name to ``family`` without branching on it.
 an ``answer`` attribute, so no query is answered off the transcript, and
 ``protocols.run_reduction`` is the one place that advances a generator
 (``next`` on anything but a generator expression, or ``.send``), so every
-distinguisher run goes through the one driver.
+distinguisher run goes through the one driver.  ``os.fork`` appears once,
+where a threshold sweep forks the helpers that run its grid points, so no
+other code path has to be safe to run in a forked copy of the process.
 """
 
 from __future__ import annotations
@@ -79,3 +81,13 @@ def test_only_the_protocol_session_answers_queries():
 
 def test_only_run_reduction_drives_a_distinguisher():
     assert _found_in_src(_advances_a_generator) == [("protocols.py", "run_reduction")] * 2
+
+
+def _forks(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name.startswith("fork") for a in node.names)
+    return isinstance(node, ast.Attribute) and node.attr.startswith("fork")
+
+
+def test_only_the_sweep_forks():
+    assert _found_in_src(_forks) == [("experiments.py", "_forked_outcomes")]

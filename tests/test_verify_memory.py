@@ -4,7 +4,8 @@ moments-hiding m_tilde=40000, blocks=64, both intersecting).
 
 ``validate_graph`` on a valid graph caches nothing on it and holds only
 transient lists of O(n + m) entries, no per-vertex set; ``dump_edge_list``
-holds its lines and the text, with no table of vertex names.
+holds no table of vertex names, and no more than one chunk of its lines
+beside the text, which it may hold twice (the joined chunks, then the text).
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from helpers import instance_on_side
 MAX_KEPT = 64 * 1024  # bytes still held after validate_graph returns
 MAX_VALIDATE_PEAK = 4 * 2**20
 MAX_DUMP_PEAK = 6 * 2**20
+MAX_DUMP_CHUNK = 2**20  # bytes of one chunk of lines, beside two copies of the text
 
 CERTIFY_GRAPHS = {
     "degree-only": dict(n=6000, k=30),
@@ -57,3 +59,9 @@ def test_dump_holds_no_name_table():
     text, _, peak = traced(dump_edge_list, g)
     assert text.count("\n") == g.n + 1
     assert peak <= MAX_DUMP_PEAK, peak
+
+
+@pytest.mark.parametrize("kind", sorted(CERTIFY_GRAPHS))
+def test_dump_holds_one_chunk_of_lines_beside_the_text(kind):
+    text, _, peak = traced(dump_edge_list, certify_graph(kind))
+    assert peak <= 2 * len(text) + MAX_DUMP_CHUNK, (peak, len(text))
