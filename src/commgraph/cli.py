@@ -63,11 +63,22 @@ class ConfigError(Exception):
     pass
 
 
+# Every construction flag, in the order the constructions declare them.
+KIND_FLAGS = tuple(dict.fromkeys(
+    name for cls in EMBEDDING_CLASSES.values() for name in cls.requires + cls.accepts
+))
+
+
 def _kind_flags(args) -> dict:
-    """The given flags among those ``--kind``'s construction declares."""
+    """The construction flags given, which must all be among those
+    ``--kind``'s construction declares: one it ignores is refused, not
+    dropped."""
     cls = EMBEDDING_CLASSES[args.kind]
-    names = cls.requires + cls.accepts
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    given = {name: value for name in KIND_FLAGS if (value := getattr(args, name)) is not None}
+    stray = [name for name in given if name not in cls.requires + cls.accepts]
+    if stray:
+        raise ConfigError(f"kind {cls.kind} does not take {_flags(stray)}")
+    return given
 
 
 def _add_kind_params(p: argparse.ArgumentParser):
@@ -81,6 +92,7 @@ def _add_kind_params(p: argparse.ArgumentParser):
     p.add_argument("--base-n", type=int, dest="base_n", help="base graph vertices")
     p.add_argument("--base-m", type=int, dest="base_m", help="base graph edges")
     p.add_argument("--augment-connect", action="store_true", dest="augment_connect",
+                   default=None,  # left off, it is not given
                    help="attach every vertex to a hub (diameter-2 variant)")
     p.add_argument("--s", type=int, help="degree-moment order")
     p.add_argument("--alpha", type=int, help="arboricity target")
@@ -189,6 +201,8 @@ def cmd_sweep(args) -> int:
     if cls.swept is None:
         raise ConfigError(f"sweep does not support kind {args.kind!r}")
     flags = _kind_flags(args)
+    if cls.swept in flags:
+        raise ConfigError(f"sweep sets {flag_name(cls.swept)} from --grid; do not give it")
     cls.check_flags([*flags, cls.swept])
 
     def family_for(n_bits: int):

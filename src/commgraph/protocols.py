@@ -15,9 +15,15 @@ T resumes at a larger budget where it stopped, so a run taken through the
 budgets 1, 2, ..., T simulates each of its queries once: min(q, T) in
 all, where q is the number it makes before it returns.
 
-Capability separation is enforced dynamically: each party's input lives
-in a guarded container that only the owning party's context may read.
-Any other access raises CapabilityViolation and aborts the run.
+What keeps a query to the bits it is charged is proved, not guarded at
+run time.  ``run_reduction`` holds the session, so an algorithm sees
+answers only.  A construction sees the inputs only through ``joint``,
+which the session answers by ``exchange``: a test
+(``tests/test_coordinate_dependence.py``) runs every query of every kind
+on every input pair of a small shape and proves each answer a function of
+x AND y on the coordinates exchanged, and a structure rule
+(``tests/test_structure.py``) names every member of a construction that
+reads its inputs directly, none of them on the query path.
 """
 
 from __future__ import annotations
@@ -26,14 +32,9 @@ import random
 from itertools import accumulate, count
 from typing import Callable, Generator, NamedTuple, Optional
 
-from .bits import BitVec
 from .embeddings.base import Embedding
 from .graph import Query, QueryAnswer, query_kind
 from .rng import derive_seed
-
-
-class CapabilityViolation(RuntimeError):
-    """A party's code path touched the other party's input."""
 
 
 class TranscriptEntry(NamedTuple):
@@ -82,39 +83,6 @@ class Transcript:
 TRANSCRIPT_CSV_HEADER = ("trial", "query_index", "query_kind", "bits", "cumulative_bits")
 
 
-class _GuardedBits:
-    """Read access restricted to the owning party's active context, read
-    from the session's ``active`` cell: holding the session itself would
-    leave a finished session for the cyclic collector.  The first read goes
-    through the vector, which checks the index and builds its byte table;
-    a later read in range indexes that table directly."""
-
-    __slots__ = ("_bits", "_table", "_owner", "_active")
-
-    def __init__(self, bits: BitVec, owner: str, active: list):
-        self._bits = bits
-        self._table = b""
-        self._owner = owner
-        self._active = active
-
-    def __getitem__(self, i: int) -> int:
-        if self._active[0] != self._owner:
-            raise CapabilityViolation(
-                f"{self._owner}'s input read outside {self._owner}'s context"
-            )
-        if i >= 0:
-            try:
-                return self._table[i]
-            except IndexError:
-                pass
-        bit = self._bits[i]
-        self._table = self._bits.table
-        return bit
-
-    def __len__(self) -> int:
-        return self._bits.n
-
-
 class ProtocolSession:
     """One two-party run over a fixed instance.
 
@@ -124,9 +92,8 @@ class ProtocolSession:
 
     def __init__(self, inst: Embedding, seed: int):
         self.instance = inst
-        self._active: list[Optional[str]] = [None]  # the party whose code runs
-        self.alice_input = _GuardedBits(inst.pp.x, "alice", self._active)
-        self.bob_input = _GuardedBits(inst.pp.y, "bob", self._active)
+        self._x = inst.pp.x  # Alice's input
+        self._y = inst.pp.y  # Bob's input
         self.shared_rng = random.Random(derive_seed(seed, 0xA))
         self.transcript = Transcript()
         self._current_coords: Optional[set[int]] = None
@@ -137,17 +104,9 @@ class ProtocolSession:
         coords = self._current_coords
         if coords is None:
             raise RuntimeError("exchange outside of a query simulation")
-        active = self._active
-        previous = active[0]
-        try:
-            active[0] = "alice"
-            xb = self.alice_input[coord]
-            active[0] = "bob"
-            yb = self.bob_input[coord]
-        finally:
-            active[0] = previous
+        bit = self._x[coord] & self._y[coord]
         coords.add(coord)
-        return xb & yb
+        return bit
 
     def simulate(self, q: Query) -> QueryAnswer:
         kind = query_kind(q)

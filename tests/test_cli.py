@@ -7,6 +7,8 @@ import pytest
 from commgraph.cli import main
 from commgraph.graph import load_edge_list
 
+from helpers import SMALL_KIND_FLAGS
+
 
 def run(args):
     return main(args)
@@ -48,6 +50,27 @@ def test_gen_degree_only(tmp_path):
 def test_gen_missing_params_is_config_error(tmp_path):
     assert run(["gen", "--kind", "triangle", "--seed", "1",
                 "--out", str(tmp_path / "x.json")]) == 2
+
+
+# One flag per kind that its construction does not declare.
+STRAY_FLAGS = {
+    "clique-hiding": ["--k", "2"],
+    "triangle": ["--s-clique-budget", "4"],
+    "r-clique": ["--s-size", "2"],
+    "connectivity": ["--promise", "disjoint"],
+    "degree-only": ["--augment-connect"],
+    "moments-hiding": ["--n-side", "4"],
+    "moments-block": ["--blocks", "3"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRAY_FLAGS))
+def test_a_flag_the_kind_ignores_is_refused(tmp_path, capsys, kind):
+    out = tmp_path / "x.json"
+    assert run(["gen", "--kind", kind, *SMALL_KIND_FLAGS[kind], *STRAY_FLAGS[kind],
+                "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: kind {kind} does not take {STRAY_FLAGS[kind][0]}\n"
+    assert not out.exists()
 
 
 def test_verify_pass_and_exit_codes(tmp_path):
@@ -187,6 +210,8 @@ def test_sweep_skips_non_square_grid_for_triangle(tmp_path, capsys):
     (["--kind", "moments-block", "--s", "2", "--alpha", "4", "--c", "4",
       "--m-tilde", "257", "--n-side", "16", "--distinguisher", "degree-scan"],
      "sweep does not support kind 'moments-block'"),
+    (["--kind", "clique-hiding", "--l", "2", "--blocks", "5", "--distinguisher", "pair-probe"],
+     "sweep sets --blocks from --grid; do not give it"),
 ])
 def test_sweep_config_error_exits_before_the_grid(tmp_path, capsys, kind_args, message):
     out = tmp_path / "s.csv"
@@ -228,12 +253,12 @@ def test_sweep_honours_s_clique_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate", "--budget", "3"],
+    ["simulate", "--budget", "3", "--l", "3"],
     ["sweep", "--grid", "9"],
 ])
 def test_zero_trials_is_a_config_error(tmp_path, capsys, command):
     assert run([
-        *command, "--kind", "triangle", "--l", "3", "--k", "1",
+        *command, "--kind", "triangle", "--k", "1",
         "--distinguisher", "edge-sample-tester", "--trials", "0", "--seed", "1",
         "--out" if command[0] == "sweep" else "--transcripts", str(tmp_path / "out.csv"),
     ]) == 2

@@ -11,7 +11,7 @@ from commgraph.cli import main
 from commgraph.embeddings import ALL_KINDS, Embedding, MaterializationCapExceeded
 from commgraph.experiments import Distinguisher, PublicView, reference_distinguishers
 from commgraph.promises import PromisePair
-from commgraph.protocols import ProtocolSession, _GuardedBits
+from commgraph.protocols import ProtocolSession
 
 from helpers import SMALL_KIND_FLAGS, random_instance
 
@@ -72,7 +72,7 @@ def test_a_distinguisher_receives_nothing_that_reaches_the_inputs(monkeypatch, c
                          "--distinguisher", d.name, "--budget", "6", "--trials", "4",
                          "--seed", "5"]) == 0, capsys.readouterr().err
     assert sum(isinstance(obj, tuple) for obj in received) > 9 * 4
-    forbidden = (Embedding, PromisePair, BitVec, ProtocolSession, _GuardedBits)
+    forbidden = (Embedding, PromisePair, BitVec, ProtocolSession)
     leaks = [obj for root in received for obj in _reachable(root) if isinstance(obj, forbidden)]
     assert leaks == []
 

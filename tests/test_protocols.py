@@ -22,11 +22,9 @@ from commgraph.promises import (
     inter_k,
 )
 from commgraph.protocols import (
-    CapabilityViolation,
     ProtocolRun,
     ProtocolSession,
     TranscriptEntry,
-    _GuardedBits,
     run_reduction,
 )
 
@@ -150,33 +148,13 @@ def test_simulation_matches_lazy_answers():
             assert sess.simulate(q) == inst.answer(q)
 
 
-def test_capability_guard():
+def test_an_exchange_outside_the_input_is_out_of_range():
     inst = triangle_instance()
     sess = ProtocolSession(inst, seed=1)
-    with pytest.raises(CapabilityViolation):
-        sess.alice_input[0]
-    with pytest.raises(CapabilityViolation):
-        sess.bob_input[3]
-
-    def rogue(rng):
-        yield Degree(0)
-        return sess.bob_input[0]
-
-    with pytest.raises(CapabilityViolation):
-        run_reduction(ProtocolRun(inst, rogue, seed=1))
-
-
-def test_a_guarded_read_checks_owner_and_index_after_the_first_read():
-    bits = bits_from_string("10110")
-    active = ["alice"]
-    guarded = _GuardedBits(bits, "alice", active)
-    assert [guarded[i] for i in range(5)] == list(bits)
-    for i in (-1, 5):
+    for coord in (-1, inst.pp.n_bits):
+        inst.degree_of = lambda v, joint: joint(coord)  # a rule reading one coordinate
         with pytest.raises(IndexError, match="out of range"):
-            guarded[i]
-    active[0] = "bob"
-    with pytest.raises(CapabilityViolation):
-        guarded[0]
+            sess.simulate(Degree(0))
 
 
 def test_fuzz_bits_bounded_all_kinds():

@@ -14,6 +14,14 @@ an ``answer`` attribute, so no query is answered off the transcript, and
 distinguisher run goes through the one driver.  ``os.fork`` appears once,
 where a threshold sweep forks the helpers that run its grid points, so no
 other code path has to be safe to run in a forked copy of the process.
+
+Inside ``commgraph/embeddings/`` only the members named below read the
+promise pair (``.pp``, or an attribute of a ``pp`` argument): the input
+checks, JSON output, ``direct_joint``, ``materialize``, the labels, the
+analytic counts and the claims.  None of them is on the query path, where
+a construction reads the inputs only through ``joint``.  Degree-only's
+``__init__`` is the one exception: it finds the shared block (``_hot``)
+for its rows and its Pair rule, which it does not answer.
 """
 
 from __future__ import annotations
@@ -91,3 +99,38 @@ def _forks(node: ast.AST) -> bool:
 
 def test_only_the_sweep_forks():
     assert _found_in_src(_forks) == [("experiments.py", "_forked_outcomes")]
+
+
+def _reads_the_inputs(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and (
+        node.attr == "pp" or isinstance(node.value, ast.Name) and node.value.id == "pp"
+    )
+
+
+def test_only_named_construction_members_read_the_inputs():
+    readers = {
+        f"{rel.removeprefix('embeddings/')}:{scope}"
+        for rel, scope in _found_in_src(_reads_the_inputs)
+        if rel.startswith("embeddings/")
+    }
+    assert readers == {
+        "__init__.py:instance_to_json",
+        "base.py:Embedding.__init__",
+        "base.py:Embedding.__repr__",
+        "base.py:Embedding.direct_joint",
+        "base.py:Embedding.gap_label",
+        "base.py:Embedding.materialize",
+        "clique_hiding.py:CliqueHidingEmbedding.claims",
+        "clique_hiding.py:CliqueHidingEmbedding.edge_count",
+        "connectivity.py:ConnectivityEmbedding.claims",
+        "degree_only.py:DegreeOnlyEmbedding.__init__",  # _hot: its Pair is unsupported
+        "degree_only.py:DegreeOnlyEmbedding.claims",
+        "moments_block.py:MomentsBlockEmbedding.claims",
+        "moments_block.py:MomentsBlockEmbedding.edge_count",
+        "moments_block.py:MomentsBlockEmbedding.expected_moment",
+        "moments_hiding.py:MomentsHidingEmbedding.claims",
+        "moments_hiding.py:MomentsHidingEmbedding.edge_count",
+        "moments_hiding.py:MomentsHidingEmbedding.expected_moment",
+        "rclique.py:RCliqueEmbedding.claims",
+        "rclique.py:RCliqueEmbedding.expected_clique_count",
+    }
